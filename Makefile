@@ -1,7 +1,7 @@
 # Makefile — developer entry points. The go toolchain is the only
 # dependency.
 
-.PHONY: build test test-short race bench bench-fig bench-baseline profile vet matrix fuzz-trace fuzz-store fuzz-fabric serve smoke-serve smoke-fabric lint-docs audit api-update
+.PHONY: build test test-short race bench bench-fig bench-baseline bench-module profile vet matrix fuzz-trace fuzz-store fuzz-fabric serve smoke-serve smoke-fabric lint-docs audit api-update
 
 # Packages whose exported symbols must all carry godoc comments (the
 # public package, the documented internals, and the service layers).
@@ -30,6 +30,12 @@ bench:
 # Just the figure campaign (the wall-clock acceptance metric).
 bench-fig:
 	go test -run='^$$' -bench=Fig -benchtime=1x .
+
+# Vet and short-test the benchmark module. ltpbench/ is its own Go
+# module (root go build/test ./... never compiles it), yet it imports
+# internal packages, so an internal API change can break it silently.
+bench-module:
+	cd ltpbench && go vet . && go test -short .
 
 # Record a BENCH_<n>.json trajectory point (see EXPERIMENTS.md).
 bench-baseline:

@@ -26,10 +26,14 @@ import (
 	"ltp/internal/workload"
 )
 
-// benchSuite returns a fresh, bench-sized experiment suite.
-func benchSuite() *experiment.Suite {
+// benchSuite returns a fresh, bench-sized experiment suite on its own
+// engine, so every iteration simulates rather than hitting the cache an
+// earlier one filled.
+func benchSuite(tb testing.TB) *experiment.Suite {
 	s := experiment.NewSuite(0.05, 8_000, 25_000)
 	s.Quiet = true
+	s.Engine = newTestEngine(tb, ltp.EngineConfig{})
+	tb.Cleanup(s.Engine.Close)
 	return s
 }
 
@@ -65,7 +69,7 @@ func BenchmarkTable1Baseline(b *testing.B) {
 // usage for IQ:32 / IQ:32+LTP / IQ:256).
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		tables := s.Fig1()
 		printTables("Figure 1", tables...)
 		// Headline metric: MLP recovered by LTP relative to IQ:256
@@ -81,7 +85,7 @@ func BenchmarkFig1(b *testing.B) {
 // BenchmarkFig3 regenerates the Figure 3 worked example (tiny IQ).
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		t := s.Fig3()
 		printTables("Figure 3", t)
 		b.ReportMetric(t.Rows[0].Cells[2]-t.Rows[1].Cells[2], "IQfreed")
@@ -100,7 +104,7 @@ var (
 func fig6Bench(b *testing.B, row string) {
 	for i := 0; i < b.N; i++ {
 		fig6Once.Do(func() {
-			s := benchSuite()
+			s := benchSuite(b)
 			fig6Tables = s.Fig6()
 		})
 		var keep []*experiment.Table
@@ -202,7 +206,7 @@ func BenchmarkSampledFig6IQ(b *testing.B) {
 // BenchmarkFig7 regenerates the LTP-utilization figure.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		tables := s.Fig7()
 		printTables("Figure 7", tables...)
 	}
@@ -211,7 +215,7 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig10 regenerates the entries/ports performance + ED²P sweep.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		tables := s.Fig10()
 		printTables("Figure 10", tables...)
 		// Headline: ED2P improvement of the 128/4p design (sensitive).
@@ -222,7 +226,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 regenerates the ticket-count sweep.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		tables := s.Fig11()
 		printTables("Figure 11", tables...)
 	}
@@ -231,7 +235,7 @@ func BenchmarkFig11(b *testing.B) {
 // BenchmarkAblation regenerates the design-choice ablation table.
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		t := s.Ablation()
 		printTables("Ablations", t)
 	}
@@ -240,7 +244,7 @@ func BenchmarkAblation(b *testing.B) {
 // BenchmarkUITSweep regenerates the §5.6 UIT size sensitivity numbers.
 func BenchmarkUITSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		t := s.UITSweep()
 		printTables("UIT sweep", t)
 	}
@@ -249,7 +253,7 @@ func BenchmarkUITSweep(b *testing.B) {
 // BenchmarkWIBvsLTP regenerates the related-work baseline comparison.
 func BenchmarkWIBvsLTP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		printTables("WIB vs LTP", s.WIBvsLTP()...)
 	}
 }
@@ -257,7 +261,7 @@ func BenchmarkWIBvsLTP(b *testing.B) {
 // BenchmarkDRAMModelStudy regenerates the memory-model sensitivity check.
 func BenchmarkDRAMModelStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		printTables("DRAM model study", s.DRAMModelStudy())
 	}
 }
@@ -447,15 +451,14 @@ func BenchmarkEmulator(b *testing.B) {
 // mean ± CI table, folding the matrix into the bench smoke run.
 func BenchmarkMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := ltp.RunMatrix(ltp.MatrixSpec{
+		e := newTestEngine(b, ltp.EngineConfig{})
+		res, _ := submitMatrix(b, e, ltp.MatrixSpec{
 			Scale:       0.05,
 			WarmInsts:   8_000,
 			DetailInsts: 25_000,
 			Seeds:       2,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		e.Close()
 		printTables("Scenario matrix", experiment.MatrixTable(res))
 	}
 }
@@ -469,7 +472,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 		WarmInsts: 8_000, MaxInsts: 25_000,
 		RecordTo: &buf,
 	}
-	if _, err := ltp.Run(spec); err != nil {
+	if _, err := ltp.RunContext(context.Background(), spec); err != nil {
 		b.Fatal(err)
 	}
 	spec.RecordTo = nil
@@ -477,7 +480,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spec.ReplayFrom = bytes.NewReader(raw)
-		r, err := ltp.Run(spec)
+		r, err := ltp.RunContext(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,22 +17,12 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"ltp"
 	"ltp/internal/experiment"
 )
 
 func main() {
-	// Drain the process-wide engine (worker goroutines, result cache)
-	// on exit; a no-op unless an experiment touched DefaultEngine.
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := ltp.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
-		}
-	}()
 	var (
 		exp     = flag.String("exp", "all", "experiment: table1, groups, fig1, fig3, fig6, fig7, fig10, fig11, uit, ablation, wibvsltp, dram, microarch, matrix, triage, snapshot, diff, all")
 		scale   = flag.Float64("scale", 1.0, "workload working-set scale (0..1]")
@@ -99,7 +88,15 @@ func main() {
 	s.WarmMode = wm
 	s.Backend = *backend
 	s.Intervals = *intvls
-	s.Parallelism = *par
+	// One engine runs every figure: -parallel caps its pool, and its
+	// cache serves the baselines figures share.
+	engine, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: *par})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
+		os.Exit(2)
+	}
+	defer engine.Close()
+	s.Engine = engine
 
 	emit := func(name, content string) {
 		fmt.Println(content)

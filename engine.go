@@ -21,6 +21,8 @@ import (
 	"time"
 
 	"ltp/internal/cache"
+	"ltp/internal/core"
+	"ltp/internal/pipeline"
 	"ltp/internal/sched"
 	"ltp/internal/store"
 )
@@ -71,6 +73,9 @@ type Engine struct {
 	// outstanding counts cells handed to the pool but not yet resolved,
 	// per backend (cache hits and shared waiters never enter).
 	outstanding map[string]int
+
+	// oracles shares limit-study oracles across the engine's runs.
+	oracles oracleMemo
 }
 
 // NewEngine starts an engine; Close releases its workers (and the
@@ -95,7 +100,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 
 // Close waits for every in-flight job and queued run, then stops the
 // pool. Submit after (or racing) Close returns an error; a straggler
-// RunCached degrades to inline execution (sched.Pool's closed-Submit
+// RunCached degrades to inline execution (sched.Pool's closed-SubmitCtx
 // contract) rather than failing. To bound the wait, cancel the
 // outstanding jobs first (Job.Cancel) — their remaining cells then
 // abort within about a millisecond each.
@@ -224,6 +229,42 @@ func (e *Engine) noteOutstanding(backend string, delta int) {
 	}
 }
 
+// runWeight estimates a run's relative wall-clock for LPT ordering:
+// LTP machinery, the oracle pre-pass and small IQs (higher CPI)
+// dominate. Model-backend cells cost a few percent of a detailed cell
+// (no per-cycle loop), so they must not claim the longest-processing-
+// time slots a campaign's detailed cells need.
+func runWeight(spec RunSpec) float64 {
+	c := 1.0
+	if spec.UseLTP {
+		c += 0.3
+		if spec.Oracle {
+			c += 0.5
+		}
+	}
+	iq := pipeline.DefaultConfig().IQSize
+	if spec.Pipeline != nil {
+		iq = spec.Pipeline.IQSize
+	}
+	if iq < 8 {
+		iq = 8
+	}
+	w := c + 32.0/float64(iq)
+	switch specBackendName(spec) {
+	case BackendSampled:
+		// A sampled run cycle-simulates a 1/K coverage fraction and
+		// functionally warms the rest (roughly a tenth of detailed
+		// cost per instruction).
+		k := sampledIntervals(spec.Intervals, spec.MaxInsts)
+		w *= 0.1 + 1.0/float64(k)
+	default:
+		if !specCycleFidelity(spec) {
+			w *= 0.05
+		}
+	}
+	return w
+}
+
 // poolExecutor adapts the engine's scheduler pool to sim.Executor so a
 // sampled-backend cell fans its K interval simulations onto the same
 // workers. Intervals run at the interactive tier: the cell occupying a
@@ -235,6 +276,79 @@ type poolExecutor struct{ pool *sched.Pool }
 
 func (x poolExecutor) RunBatch(ctx context.Context, costs []float64, fns []func(context.Context)) {
 	x.pool.RunBatch(ctx, sched.TierInteractive, costs, fns)
+}
+
+// env is the execution environment the engine lends each run: a
+// sampled cell fans its interval simulations back onto this pool (see
+// poolExecutor), and oracle runs share the engine's oracle memo.
+func (e *Engine) env() runEnv {
+	return runEnv{exec: poolExecutor{e.pool}, oracles: &e.oracles}
+}
+
+// oracleMemoEntries bounds how many oracles an engine retains: enough
+// for every kernel of a limit-study figure to stay resident at once.
+const oracleMemoEntries = 32
+
+// oracleMemo shares limit-study oracles across an engine's runs, keyed
+// by oracleKey: every oracle job of a figure on one kernel reads the
+// same pre-pass, which costs up to a fifth of such a run. Concurrent
+// first requests for a key build it once; when the memo is full the
+// least recently used entry goes.
+type oracleMemo struct {
+	mu      sync.Mutex
+	tick    uint64
+	entries map[string]*oracleEntry
+}
+
+// oracleEntry is one memoized oracle; ready closes once the build
+// finished (o stays nil if it panicked).
+type oracleEntry struct {
+	ready chan struct{}
+	o     *core.Oracle
+	used  uint64
+}
+
+// get returns the oracle memoized under key, building it with build on
+// a miss.
+func (m *oracleMemo) get(key string, build func() *core.Oracle) *core.Oracle {
+	m.mu.Lock()
+	m.tick++
+	if e, ok := m.entries[key]; ok {
+		e.used = m.tick
+		m.mu.Unlock()
+		<-e.ready
+		if e.o == nil {
+			return build() // the first build panicked; retry here
+		}
+		return e.o
+	}
+	if m.entries == nil {
+		m.entries = make(map[string]*oracleEntry)
+	}
+	if len(m.entries) >= oracleMemoEntries {
+		lru := ""
+		for k, e := range m.entries {
+			if lru == "" || e.used < m.entries[lru].used {
+				lru = k
+			}
+		}
+		delete(m.entries, lru)
+	}
+	e := &oracleEntry{ready: make(chan struct{}), used: m.tick}
+	m.entries[key] = e
+	m.mu.Unlock()
+	defer func() {
+		if e.o == nil {
+			m.mu.Lock()
+			if m.entries[key] == e {
+				delete(m.entries, key)
+			}
+			m.mu.Unlock()
+		}
+		close(e.ready)
+	}()
+	e.o = build()
+	return e.o
 }
 
 // RunCached executes one simulation through the engine's pool and
@@ -298,9 +412,7 @@ func (e *Engine) runCached(ctx context.Context, tier sched.Tier, spec RunSpec) (
 				return
 			}
 			start := time.Now()
-			// A sampled cell fans its interval simulations back onto
-			// this pool (see poolExecutor).
-			res, rerr = RunContext(withExecutor(tctx, poolExecutor{e.pool}), spec)
+			res, rerr = run(tctx, spec, e.env())
 			// Each backend feeds its own EWMA: near-free model
 			// estimates must not wreck the Retry-After hint for real
 			// simulations, and vice versa.
@@ -716,6 +828,7 @@ func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []sweepRun) {
 type phaseUnit struct {
 	idx    []int     // positions in the phase's runs slice
 	canons []RunSpec // parallel to idx; non-nil marks a batch unit
+	weight float64   // Σ runWeight over the unit's runs
 }
 
 // phaseUnits partitions a phase's runs: model cells that share a
@@ -723,6 +836,9 @@ type phaseUnit struct {
 // units (the stream is emulated once for the whole group), everything
 // else launches alone. Triage phase 1 rewrites every run to the model
 // backend, so triage sweeps batch wholesale without special-casing.
+// Units come back heaviest first (stable): the pool orders only what is
+// queued, and runPhase admits a few units at a time, so longest-first
+// across a whole phase needs the order here.
 func phaseUnits(runs []sweepRun) []phaseUnit {
 	units := make([]phaseUnit, 0, len(runs))
 	groups := make(map[string]*phaseUnit)
@@ -753,6 +869,12 @@ func phaseUnits(runs []sweepRun) []phaseUnit {
 		}
 		units = append(units, *g)
 	}
+	for u := range units {
+		for _, i := range units[u].idx {
+			units[u].weight += runWeight(runs[i].spec)
+		}
+	}
+	sort.SliceStable(units, func(a, b int) bool { return units[a].weight > units[b].weight })
 	return units
 }
 
@@ -914,7 +1036,7 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []R
 				return
 			}
 			start := time.Now()
-			rres, rerrs := runModelBatch(tctx, specs)
+			rres, rerrs := runModelBatch(tctx, specs, e.env())
 			// Amortized per-lane seconds feed the model backend's EWMA,
 			// mirroring one noteRunSeconds per single-cell run.
 			perLane := time.Since(start).Seconds() / float64(len(specs))
@@ -1001,114 +1123,6 @@ func firstRunError(runs []sweepRun, errs []error) error {
 		}
 	}
 	return nil
-}
-
-// --- v1 matrix shims ---
-
-// MatrixProgress is a point-in-time view of a running matrix campaign
-// (the v1 progress shape; CanceledRuns extends it for v2 cancellation).
-type MatrixProgress struct {
-	// TotalRuns is the campaign's replicate count
-	// (scenarios × configs × seeds).
-	TotalRuns int `json:"total_runs"`
-	// DoneRuns counts the replicates resolved so far.
-	DoneRuns int `json:"done_runs"`
-	// CanceledRuns counts replicates abandoned by cancellation.
-	CanceledRuns int `json:"canceled_runs"`
-	// CacheHits counts resolved runs reusing a stored result.
-	CacheHits int64 `json:"cache_hits"`
-	// CacheMisses counts resolved runs that actually simulated.
-	CacheMisses int64 `json:"cache_misses"`
-	// CacheShared counts resolved runs that joined an in-flight
-	// identical simulation (possibly another campaign's).
-	CacheShared int64 `json:"cache_shared"`
-	// Finished reports whether the campaign has completed (check the
-	// job's Wait/Err for the verdict).
-	Finished bool `json:"finished"`
-}
-
-// MatrixJob is the v1 handle for an asynchronously submitted matrix
-// campaign: a thin wrapper over the v2 Job executing the equivalent
-// NewMatrixSweep. Job exposes the underlying handle (cancellation,
-// cell streaming).
-type MatrixJob struct {
-	job  *Job
-	spec MatrixSpec // canonical
-	hash string     // matrix content address ("mx1:...")
-
-	convertOnce sync.Once
-	result      *MatrixResult
-	err         error
-}
-
-// Spec returns the canonical campaign spec the job executes.
-func (j *MatrixJob) Spec() MatrixSpec { return j.spec }
-
-// Hash returns the campaign's content address (MatrixSpec.Hash).
-func (j *MatrixJob) Hash() string { return j.hash }
-
-// Job returns the underlying v2 sweep job (cancel it, stream its
-// cells).
-func (j *MatrixJob) Job() *Job { return j.job }
-
-// TotalRuns returns the campaign's replicate count.
-func (j *MatrixJob) TotalRuns() int { return j.job.TotalRuns() }
-
-// Done returns a channel closed when the campaign finishes.
-func (j *MatrixJob) Done() <-chan struct{} { return j.job.Done() }
-
-// Progress returns a point-in-time snapshot of the campaign.
-func (j *MatrixJob) Progress() MatrixProgress {
-	p := j.job.Progress()
-	return MatrixProgress{
-		TotalRuns:    p.TotalRuns,
-		DoneRuns:     p.DoneRuns,
-		CanceledRuns: p.CanceledRuns,
-		CacheHits:    p.CacheHits,
-		CacheMisses:  p.CacheMisses,
-		CacheShared:  p.CacheShared,
-		Finished:     p.Finished,
-	}
-}
-
-// Wait blocks until the campaign finishes and returns its result in
-// the matrix shape.
-func (j *MatrixJob) Wait() (*MatrixResult, error) {
-	sr, err := j.job.Wait()
-	j.convertOnce.Do(func() {
-		if err != nil {
-			j.err = err
-			return
-		}
-		j.result = matrixResultFromSweep(j.spec, sr)
-	})
-	return j.result, j.err
-}
-
-// SubmitMatrix submits the matrix campaign as its equivalent sweep
-// (NewMatrixSweep) under a background context and returns the v1
-// handle.
-//
-// Deprecated: use Engine.Submit with NewMatrixSweep, which threads a
-// context and streams per-cell results.
-func (e *Engine) SubmitMatrix(spec MatrixSpec) (*MatrixJob, error) {
-	canon, err := spec.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	hash, err := canon.Hash()
-	if err != nil {
-		return nil, err
-	}
-	sweep, err := NewMatrixSweep(canon)
-	if err != nil {
-		return nil, err
-	}
-	job, err := e.Submit(context.Background(), sweep)
-	if err != nil {
-		return nil, err
-	}
-	return &MatrixJob{job: job, spec: canon, hash: hash}, nil
 }
 
 var (

@@ -94,8 +94,8 @@ func TestEngineConcurrentDuplicates(t *testing.T) {
 }
 
 // TestSubmitMatrixAsync checks the async campaign completes, matches
-// the synchronous runner cell-for-cell, and a resubmission is served
-// entirely from cache.
+// an independent per-replicate reference cell-for-cell, and a
+// resubmission is served entirely from cache.
 func TestSubmitMatrixAsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix comparison is a long test")
@@ -104,47 +104,31 @@ func TestSubmitMatrixAsync(t *testing.T) {
 	defer e.Close()
 
 	spec := quickMatrix()
-	job, err := e.SubmitMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, job := submitMatrix(t, e, spec)
 	p := job.Progress()
 	if !p.Finished || p.DoneRuns != p.TotalRuns || p.TotalRuns != job.TotalRuns() {
 		t.Fatalf("finished progress inconsistent: %+v", p)
 	}
 
-	// Cell-for-cell equal to the synchronous, uncached runner:
-	// identical specs must simulate identically on either path.
-	sync, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Cell-for-cell equal to the reference: identical specs must
+	// simulate identically on either path.
+	ref := referenceMatrix(t, spec)
 	for _, scn := range res.Scenarios {
 		for _, cfg := range res.Configs {
-			a, b := res.Cell(scn, cfg), sync.Cell(scn, cfg)
+			a, b := res.Cell(scn, cfg), ref.Cell(scn, cfg)
 			if a == nil || b == nil {
 				t.Fatalf("missing cell %s/%s", scn, cfg)
 			}
 			if a.CPI != b.CPI {
-				t.Fatalf("cell %s/%s: async CPI %+v != sync %+v", scn, cfg, a.CPI, b.CPI)
+				t.Fatalf("cell %s/%s: engine CPI %+v != reference %+v", scn, cfg, a.CPI, b.CPI)
 			}
 		}
 	}
 
 	// Resubmission: every run served from cache, none simulated.
-	job2, err := e.SubmitMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, job2 := submitMatrix(t, e, spec)
 	if job2.Hash() != job.Hash() {
 		t.Fatalf("identical campaigns hash differently")
-	}
-	if _, err := job2.Wait(); err != nil {
-		t.Fatal(err)
 	}
 	if p := job2.Progress(); p.CacheHits != int64(p.TotalRuns) || p.CacheMisses != 0 {
 		t.Fatalf("resubmission progress = %+v; want all hits", p)
@@ -164,11 +148,15 @@ func TestSubmitMatrixSharedCells(t *testing.T) {
 		Scale:       0.05,
 		DetailInsts: 5_000,
 	}
-	jobA, err := e.SubmitMatrix(spec)
+	sweep, err := ltp.NewMatrixSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobB, err := e.SubmitMatrix(spec)
+	jobA, err := e.Submit(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobB, err := e.Submit(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +174,14 @@ func TestSubmitMatrixSharedCells(t *testing.T) {
 	}
 }
 
-// TestSubmitMatrixError checks a failing cell surfaces through Wait.
+// TestSubmitMatrixError checks an invalid campaign is refused before
+// it reaches the engine.
 func TestSubmitMatrixError(t *testing.T) {
-	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 2})
-	defer e.Close()
-	if _, err := e.SubmitMatrix(ltp.MatrixSpec{Scenarios: []string{"nosuch"}}); err == nil {
+	if _, err := ltp.NewMatrixSweep(ltp.MatrixSpec{Scenarios: []string{"nosuch"}}); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+	if _, err := ltp.MatrixResultFromSweep(ltp.MatrixSpec{Scenarios: []string{"nosuch"}}, &ltp.SweepResult{}); err == nil {
+		t.Fatal("result fold accepted an unknown scenario")
 	}
 }
 

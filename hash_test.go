@@ -168,16 +168,15 @@ func TestHashRejectsNonCanonical(t *testing.T) {
 }
 
 // TestMatrixHash checks the campaign-level canonicalization: empty
-// axes equal their explicit defaults, and Parallelism is excluded.
+// axes equal their explicit defaults.
 func TestMatrixHash(t *testing.T) {
-	a := ltp.MatrixSpec{Scale: 0.05, DetailInsts: 8_000, Parallelism: 4}
+	a := ltp.MatrixSpec{Scale: 0.05, DetailInsts: 8_000}
 	b := ltp.MatrixSpec{
 		Scenarios:   nil,
 		Configs:     ltp.DefaultMatrixConfigs(),
 		Seeds:       3,
 		Scale:       0.05,
 		DetailInsts: 8_000,
-		Parallelism: 13,
 	}
 	ha, err := a.Hash()
 	if err != nil {

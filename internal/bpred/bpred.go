@@ -85,6 +85,22 @@ var builders = map[string]func() Predictor{
 // New builds the named predictor at its baseline configuration. The
 // empty name means DefaultName.
 func New(name string) (Predictor, error) {
+	b, err := builder(name)
+	if err != nil {
+		return nil, err
+	}
+	return b(), nil
+}
+
+// Check reports New's error for name without building the predictor
+// (whose tables run to a hundred kilobytes).
+func Check(name string) error {
+	_, err := builder(name)
+	return err
+}
+
+// builder looks up the named predictor's constructor.
+func builder(name string) (func() Predictor, error) {
 	if name == "" {
 		name = DefaultName
 	}
@@ -92,7 +108,7 @@ func New(name string) (Predictor, error) {
 	if !ok {
 		return nil, fmt.Errorf("bpred: unknown branch predictor %q (have %v)", name, Names())
 	}
-	return b(), nil
+	return b, nil
 }
 
 // Default returns the baseline predictor (16-bit gshare, 4K-entry BTB).

@@ -120,6 +120,11 @@ func TestRegistry(t *testing.T) {
 	if p, err := New(""); err != nil || p.Name() != DefaultName {
 		t.Errorf(`New("") = %v, %v; want the default %q`, p, err, DefaultName)
 	}
+	for _, name := range append(want, "") {
+		if err := Check(name); err != nil {
+			t.Errorf("Check(%q) = %v", name, err)
+		}
+	}
 	for _, name := range want {
 		p, err := New(name)
 		if err != nil {
@@ -131,6 +136,9 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := New("perceptron"); err == nil {
 		t.Error("unknown predictor name must error")
+	}
+	if Check("perceptron") == nil {
+		t.Error("Check accepted an unknown predictor name")
 	}
 }
 

@@ -154,7 +154,8 @@ func (c *Cache) Get(key string) (any, bool) {
 // call detaches and returns ctx's error, while the computation keeps
 // running for any other waiter. Only when every waiter has detached is
 // the compute context cancelled — compute should observe it and return
-// promptly so abandoned work leaves the worker pool. A caller that
+// promptly so abandoned work leaves the worker pool; the last waiter
+// returns once it has. A caller that
 // joins a flight in the instant it is being cancelled retries against
 // a fresh flight rather than surfacing the other waiters' abandonment.
 func (c *Cache) Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, Outcome, error) {
@@ -273,6 +274,13 @@ func (c *Cache) wait(ctx context.Context, f *flight, outcome Outcome) (any, Outc
 		c.mu.Unlock()
 		if last {
 			f.cancel()
+			if f.ctx.Err() != nil {
+				// The computation is cancelled for good (no waiter left,
+				// and for a batch lane no live sibling lane either): see
+				// it wind down, so abandoned work has stopped — and been
+				// counted — by the time its last caller returns.
+				<-f.done
+			}
 		}
 		return nil, outcome, ctx.Err(), false
 	}

@@ -237,6 +237,41 @@ func TestWaiterCancelDoesNotPoison(t *testing.T) {
 	}
 }
 
+// TestLastWaiterReturnsAfterAbandonedCompute checks the drain
+// contract: the last waiter to detach cancels the compute and returns
+// only once it has stopped, so an abandoned computation is finished —
+// and counted — by the time Do returns (what lets a cancelled job report
+// "fully drained").
+func TestLastWaiterReturnsAfterAbandonedCompute(t *testing.T) {
+	c := New(8)
+	started := make(chan struct{})
+	var stopped atomic.Bool
+	compute := func(ctx context.Context) (any, error) {
+		close(started)
+		<-ctx.Done()
+		time.Sleep(20 * time.Millisecond) // a slow-to-notice abort
+		stopped.Store(true)
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithCancel(bg)
+	errCh := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "k", compute)
+		errCh <- err
+	}()
+	<-started
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Fatalf("sole waiter err = %v; want context.Canceled", err)
+	}
+	if !stopped.Load() {
+		t.Fatal("Do returned while the abandoned compute was still running")
+	}
+	if st := c.Stats(); st.Misses != 1 {
+		t.Fatalf("abandoned flight not counted when Do returned: %+v", st)
+	}
+}
+
 // TestAllWaitersCancelAbortsCompute checks the reclamation side: when
 // every waiter detaches, the compute context is cancelled, nothing is
 // stored, and a later Do recomputes fresh.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ltp/internal/isa"
 	"ltp/internal/mem"
 	"ltp/internal/pipeline"
@@ -123,6 +125,32 @@ func DefaultConfig() Config {
 		UITWays:    4,
 		Tickets:    64,
 	}
+}
+
+// Validate reports the first structural error New would panic on: an
+// unknown identification policy, a finite UIT whose entry count and
+// associativity give no power-of-two set count, or an IdentCrit
+// criticality table that is not a power of two.
+func (c Config) Validate() error {
+	if c.Ident.String() == "" {
+		return fmt.Errorf("core: unknown LTP identification policy %d", c.Ident)
+	}
+	if c.UITEntries > 0 {
+		ways := c.UITWays
+		if ways <= 0 {
+			ways = 4
+		}
+		if c.UITEntries < ways {
+			ways = c.UITEntries
+		}
+		if sets := c.UITEntries / ways; sets&(sets-1) != 0 {
+			return fmt.Errorf("core: UIT of %d entries, %d ways has no power-of-two set count", c.UITEntries, ways)
+		}
+	}
+	if c.Ident == IdentCrit && c.CritEntries > 0 && c.CritEntries&(c.CritEntries-1) != 0 {
+		return fmt.Errorf("core: crit table size %d is not a power of two", c.CritEntries)
+	}
+	return nil
 }
 
 // ratExt is the per-architectural-register RAT extension (Fig. 9): the

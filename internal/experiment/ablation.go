@@ -32,16 +32,13 @@ func (s *Suite) Ablation() *Table {
 
 	var jobs []job
 	for _, wl := range g.Sensitive {
-		jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-			pcfg: realisticConfig(64, 128)})
-		for vi, v := range variants {
+		jobs = append(jobs, job{wlName: wl, pcfg: realisticConfig(64, 128)})
+		for _, v := range variants {
 			lc := realisticLTP(128, 4)
 			v.Mut(&lc)
 			jobs = append(jobs, job{
-				key:    "abl/" + v.Name + "/" + wl,
 				wlName: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc,
 			})
-			_ = vi
 		}
 	}
 	res := s.runAll(jobs)

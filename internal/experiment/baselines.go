@@ -51,8 +51,7 @@ func (s *Suite) WIBvsLTP() []*Table {
 		type ref struct{ vi, si, wi int }
 		var refs []ref
 		for wi, wl := range g.Sensitive {
-			jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-				pcfg: realisticConfig(64, 128)})
+			jobs = append(jobs, job{wlName: wl, pcfg: realisticConfig(64, 128)})
 			refs = append(refs, ref{-1, 0, wi})
 			for vi, v := range variants {
 				for si, size := range sizes {
@@ -63,7 +62,6 @@ func (s *Suite) WIBvsLTP() []*Table {
 						rf = size
 					}
 					jobs = append(jobs, job{
-						key:    "wib/" + row.Name + "/" + v.Name + "/" + sizeLabel(size) + "/" + wl,
 						wlName: wl, pcfg: v.Cfg(iq, rf),
 						useLTP: v.LTP, lcfg: realisticLTP(128, 4),
 					})
@@ -149,7 +147,6 @@ func (s *Suite) DRAMModelStudy() *Table {
 	for _, wl := range g.Sensitive {
 		for _, v := range variants {
 			jobs = append(jobs, job{
-				key:    "dram/" + v.Name + "/" + wl,
 				wlName: wl, pcfg: mkCfg(v.Banked, v.IQ, v.RF),
 				useLTP: v.LTP, lcfg: realisticLTP(128, 4),
 			})

@@ -6,21 +6,22 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"ltp"
 	"ltp/internal/core"
 	"ltp/internal/pipeline"
-	"ltp/internal/sched"
 	"ltp/internal/workload"
 )
 
-// Suite holds the shared experiment parameters and caches (oracle
-// pre-passes, MLP-group classification) across figures.
+// Suite holds the shared experiment parameters and the MLP-group
+// classification across figures. Every simulation runs on its Engine.
 type Suite struct {
 	// Scale shrinks workload working sets (1.0 = full size).
 	Scale float64
@@ -41,26 +42,21 @@ type Suite struct {
 	// Intervals is the sampled backend's measured interval count K
 	// (0 = ltp.DefaultSampledIntervals; ignored by other backends).
 	Intervals int
-	// Parallelism bounds concurrent simulations (0 = NumCPU).
-	Parallelism int
+	// Engine runs every simulation (nil = ltp.DefaultEngine()): its pool
+	// bounds concurrency, its cache serves a run another figure already
+	// simulated, and its oracle memo shares the limit study's
+	// classification pre-passes.
+	Engine *ltp.Engine
 	// Quiet suppresses progress output.
 	Quiet bool
 
-	mu      sync.Mutex
-	oracles map[string]*core.Oracle
-	groups  *Groups
-	cache   map[string]ltp.RunResult
+	mu     sync.Mutex
+	groups *Groups
 }
 
 // NewSuite returns a Suite with the given budgets.
 func NewSuite(scale float64, warm, detail uint64) *Suite {
-	return &Suite{
-		Scale:       scale,
-		WarmInsts:   warm,
-		DetailInsts: detail,
-		oracles:     make(map[string]*core.Oracle),
-		cache:       make(map[string]ltp.RunResult),
-	}
+	return &Suite{Scale: scale, WarmInsts: warm, DetailInsts: detail}
 }
 
 // DefaultSuite is sized for a full experiment campaign on a laptop.
@@ -100,109 +96,124 @@ func realisticConfig(iq, rf int) pipeline.Config {
 	return cfg
 }
 
-// oracleFor builds (once) the limit study's classification pre-pass for a
-// workload.
-func (s *Suite) oracleFor(name string) *core.Oracle {
-	s.mu.Lock()
-	if o, ok := s.oracles[name]; ok {
-		s.mu.Unlock()
-		return o
+// engine returns the engine the suite's simulations run on.
+func (s *Suite) engine() *ltp.Engine {
+	if s.Engine != nil {
+		return s.Engine
 	}
-	s.mu.Unlock()
-
-	wl, err := workload.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	pcfg := pipeline.DefaultConfig()
-	budget := int(s.WarmInsts + s.DetailInsts + 65_536)
-	o := core.BuildOracle(wl.Build(s.Scale), budget, pcfg.Hier, pcfg.ROBSize)
-
-	s.mu.Lock()
-	s.oracles[name] = o
-	s.mu.Unlock()
-	return o
+	return ltp.DefaultEngine()
 }
 
-// job describes one simulation for the parallel runner.
+// job describes one figure simulation of a registry kernel.
 type job struct {
-	key    string // cache key; "" disables caching
 	wlName string
 	pcfg   pipeline.Config
 	useLTP bool
 	lcfg   core.Config
-	oracle bool
+	oracle bool // the limit study's perfect classification (with useLTP)
 }
 
-// run executes one simulation (with suite-level caching).
-func (s *Suite) run(j job) ltp.RunResult {
-	if j.key != "" {
-		s.mu.Lock()
-		if r, ok := s.cache[j.key]; ok {
-			s.mu.Unlock()
-			return r
-		}
-		s.mu.Unlock()
+// spec is the job as a run at the suite's budgets and backend.
+func (s *Suite) spec(j job) ltp.RunSpec {
+	spec := s.base()
+	spec.Workload = j.wlName
+	spec.Pipeline = &j.pcfg
+	if j.useLTP {
+		spec.UseLTP = true
+		spec.LTP = &j.lcfg
+		spec.Oracle = j.oracle
 	}
-	spec := ltp.RunSpec{
-		Workload:  j.wlName,
+	return spec
+}
+
+// base is a run with the suite's budgets and backend and no program yet.
+func (s *Suite) base() ltp.RunSpec {
+	return ltp.RunSpec{
 		Scale:     s.Scale,
 		WarmInsts: s.WarmInsts,
 		WarmMode:  s.WarmMode,
 		MaxInsts:  s.DetailInsts,
-		Pipeline:  &j.pcfg,
-		UseLTP:    j.useLTP,
 		Backend:   s.Backend,
 		Intervals: s.Intervals,
 	}
-	if j.useLTP {
-		lcfg := j.lcfg
-		if j.oracle {
-			lcfg.Oracle = s.oracleFor(j.wlName)
-		}
-		spec.LTP = &lcfg
-	}
-	r := ltp.MustRun(spec)
-	if j.key != "" {
-		s.mu.Lock()
-		s.cache[j.key] = r
-		s.mu.Unlock()
-	}
-	return r
 }
 
-// costEstimate scores a job's expected wall-clock for LPT scheduling. The
-// dominant term is the simulated cycle count, which grows when the IQ is
-// small (higher CPI) and when the LTP machinery is attached; oracle jobs
-// additionally pay the classification pre-pass (amortized by the per-
-// workload oracle cache, but the first job per workload eats it).
-func (j job) costEstimate() float64 {
-	c := 1.0
-	if j.useLTP {
-		c += 0.3
-	}
-	if j.oracle {
-		c += 0.5
-	}
-	iq := j.pcfg.IQSize
-	if iq < 8 {
-		iq = 8
-	}
-	// Small IQs roughly double CPI by IQ:16 on the sensitive kernels.
-	c += 32.0 / float64(iq)
-	return c
-}
-
-// runAll executes jobs on the shared LPT worker pool (internal/sched),
-// returning results in the callers' order: starting the long jobs early
-// keeps the pool saturated at the tail of a campaign instead of idling
-// behind one straggler.
+// runAll executes the jobs (see runSpecs), returning results in the
+// callers' order.
 func (s *Suite) runAll(jobs []job) []ltp.RunResult {
-	out := make([]ltp.RunResult, len(jobs))
-	sched.Run(s.Parallelism, len(jobs),
-		func(i int) float64 { return jobs[i].costEstimate() },
-		func(i int) { out[i] = s.run(jobs[i]) })
+	specs := make([]ltp.RunSpec, len(jobs))
+	for i, j := range jobs {
+		specs[i] = s.spec(j)
+	}
+	return s.runSpecs(specs)
+}
+
+// runSpecs executes the runs as one sweep on the suite's engine and
+// returns results in the callers' order. Runs are deduplicated by
+// content address first (figures share their baselines); the engine
+// launches the distinct runs longest-first and serves any run an
+// earlier figure already simulated from its cache. A failed run panics:
+// figure runs are fixed experiment points, not user input.
+func (s *Suite) runSpecs(specs []ltp.RunSpec) []ltp.RunResult {
+	if len(specs) == 0 {
+		return nil
+	}
+	axis := ltp.SweepAxis{Name: "run"}
+	point := make([]int, len(specs))
+	seen := make(map[string]int, len(specs))
+	for i, spec := range specs {
+		h, err := spec.Hash()
+		if err != nil {
+			panic(fmt.Sprintf("experiment: %v", err))
+		}
+		p, ok := seen[h]
+		if !ok {
+			p = len(axis.Points)
+			seen[h] = p
+			axis.Points = append(axis.Points, ltp.SweepPoint{Name: strconv.Itoa(p), Patch: patchOf(spec)})
+		}
+		point[i] = p
+	}
+	job, err := s.engine().Submit(context.Background(), ltp.SweepSpec{Axes: []ltp.SweepAxis{axis}})
+	if err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	results := make([]ltp.RunResult, len(axis.Points))
+	for c := range job.Cells() {
+		results[c.Index] = c.Result
+	}
+	if _, err := job.Wait(); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	out := make([]ltp.RunResult, len(specs))
+	for i, p := range point {
+		out[i] = results[p]
+	}
 	return out
+}
+
+// patchOf spells a run as a patch over the zero RunSpec (every field a
+// figure sets; MaxCycles and the program/trace fields have no patch).
+func patchOf(r ltp.RunSpec) ltp.RunPatch {
+	return ltp.RunPatch{
+		Workload:   &r.Workload,
+		Scenario:   &r.Scenario,
+		Knobs:      r.Knobs,
+		Seed:       &r.Seed,
+		Scale:      &r.Scale,
+		WarmInsts:  &r.WarmInsts,
+		WarmMode:   &r.WarmMode,
+		MaxInsts:   &r.MaxInsts,
+		Pipeline:   r.Pipeline,
+		BranchPred: &r.BranchPred,
+		Prefetcher: &r.Prefetcher,
+		Corunners:  &r.Corunners,
+		UseLTP:     &r.UseLTP,
+		LTP:        r.LTP,
+		Oracle:     &r.Oracle,
+		Backend:    &r.Backend,
+		Intervals:  &r.Intervals,
+	}
 }
 
 // Groups is the §4.1 MLP-sensitivity split of the workload suite.
@@ -240,8 +251,8 @@ func (s *Suite) Classify() *Groups {
 		small := limitConfig(32, pipeline.Inf, pipeline.Inf, pipeline.Inf)
 		big := limitConfig(256, pipeline.Inf, pipeline.Inf, pipeline.Inf)
 		jobs = append(jobs,
-			job{key: "cls32/" + n, wlName: n, pcfg: small},
-			job{key: "cls256/" + n, wlName: n, pcfg: big})
+			job{wlName: n, pcfg: small},
+			job{wlName: n, pcfg: big})
 	}
 	res := s.runAll(jobs)
 

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"ltp"
 )
 
 // tinySuite keeps experiment tests fast. Under -short (the CI race gate)
@@ -80,40 +83,40 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-// TestRunAllLPTOrder verifies the LPT worker pool returns results in
-// submission order regardless of its longest-first execution order, and
-// that the cost heuristic ranks obviously-heavier jobs higher.
+// TestRunAllLPTOrder verifies runAll returns results in submission
+// order whatever order the engine runs them in (longest-first), and
+// that a job repeated within one call — figures share baselines —
+// simulates once and lands in every position that asked for it.
 func TestRunAllLPTOrder(t *testing.T) {
 	s := tinySuite()
-	s.Parallelism = 2
+	e, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	s.Engine = e
 	var jobs []job
 	for _, iq := range []int{8, 64, 256} {
 		for _, wl := range []string{"compute", "gather"} {
-			jobs = append(jobs, job{
-				key:    "lpt/" + wl + sizeLabel(iq),
-				wlName: wl, pcfg: limitConfig(iq, 128, 64, 32),
-			})
+			jobs = append(jobs, job{wlName: wl, pcfg: limitConfig(iq, 128, 64, 32)})
 		}
 	}
+	jobs = append(jobs, jobs[0])
 	out := s.runAll(jobs)
 	if len(out) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(out), len(jobs))
 	}
 	for i, j := range jobs {
-		want := s.run(j) // cache hit: identical result object
+		want, err := ltp.RunContext(context.Background(), s.spec(j))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if out[i].Cycles != want.Cycles || out[i].Committed != want.Committed {
-			t.Errorf("job %d (%s): result misplaced: %d cycles vs %d", i, j.key, out[i].Cycles, want.Cycles)
+			t.Errorf("job %d (%s IQ %d): result misplaced: %d cycles vs %d", i, j.wlName, j.pcfg.IQSize, out[i].Cycles, want.Cycles)
 		}
 	}
-
-	small := job{pcfg: limitConfig(16, 128, 64, 32)}
-	big := job{pcfg: limitConfig(256, 128, 64, 32)}
-	oracle := job{pcfg: limitConfig(16, 128, 64, 32), useLTP: true, oracle: true}
-	if small.costEstimate() <= big.costEstimate() {
-		t.Error("small-IQ job not ranked costlier than big-IQ job")
-	}
-	if oracle.costEstimate() <= small.costEstimate() {
-		t.Error("oracle job not ranked costlier than plain job")
+	if st := e.CacheStats(); st.Misses != uint64(len(jobs)-1) {
+		t.Errorf("%d jobs with one repeat simulated %d runs; want %d", len(jobs), st.Misses, len(jobs)-1)
 	}
 }
 

@@ -60,7 +60,7 @@ func (s *Suite) Fig1() []*Table {
 		for _, wl := range append(append([]string{}, g.Sensitive...), g.Insensitive...) {
 			pc := limitConfig(c.iq, pipeline.Inf, pipeline.Inf, pipeline.Inf)
 			jobs = append(jobs, job{
-				key: "fig1/" + c.name + "/" + wl, wlName: wl, pcfg: pc,
+				wlName: wl, pcfg: pc,
 				useLTP: c.useLTP, lcfg: ltpLimitCfg(core.ModeNRNU), oracle: true,
 			})
 			order = append(order, c.name+"/"+wl)
@@ -127,8 +127,8 @@ func (s *Suite) Fig1() []*Table {
 func (s *Suite) Fig3() *Table {
 	pc := limitConfig(8, pipeline.Inf, pipeline.Inf, pipeline.Inf)
 	jobs := []job{
-		{key: "fig3/noltp", wlName: "indirect", pcfg: pc},
-		{key: "fig3/ltp", wlName: "indirect", pcfg: pc,
+		{wlName: "indirect", pcfg: pc},
+		{wlName: "indirect", pcfg: pc,
 			useLTP: true, lcfg: ltpLimitCfg(core.ModeNRNU), oracle: true},
 	}
 	res := s.runAll(jobs)
@@ -214,7 +214,6 @@ func (s *Suite) Fig6() []*Table {
 				for si, size := range row.Sizes {
 					for wi, wl := range panel.Wls {
 						j := job{
-							key:    fmt.Sprintf("fig6/%s/%s/%d/%s", row.Name, c.Name, size, wl),
 							wlName: wl, pcfg: row.Cfg(size),
 							useLTP: c.LTP, lcfg: ltpLimitCfg(c.Mode), oracle: c.LTP,
 						}
@@ -282,7 +281,7 @@ func (s *Suite) Fig7() []*Table {
 			for _, wl := range panel.Wls {
 				pc := limitConfig(32, 96, pipeline.DefaultConfig().LQSize, pipeline.DefaultConfig().SQSize)
 				jobs = append(jobs, job{
-					key: fmt.Sprintf("fig7/%s/%s", m, wl), wlName: wl, pcfg: pc,
+					wlName: wl, pcfg: pc,
 					useLTP: true, lcfg: ltpLimitCfg(m), oracle: true,
 				})
 			}
@@ -309,7 +308,7 @@ func (s *Suite) Fig7() []*Table {
 			t.Cols = append(t.Cols, m.String())
 		}
 		cells := make(map[string][]float64)
-		for _, m := range modes {
+		for range modes {
 			vals := make(map[string][]float64)
 			for range panel.Wls {
 				r := res[k]
@@ -318,7 +317,6 @@ func (s *Suite) Fig7() []*Table {
 					vals[met.name] = append(vals[met.name], met.get(r))
 				}
 			}
-			_ = m
 			for _, met := range metrics {
 				cells[met.name] = append(cells[met.name], mean(vals[met.name]))
 			}
@@ -362,16 +360,13 @@ func (s *Suite) Fig10() []*Table {
 		type ref struct{ kind, ei, pi, wi int }
 		var refs []ref
 		for wi, wl := range panel.Wls {
-			jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-				pcfg: realisticConfig(64, 128)})
+			jobs = append(jobs, job{wlName: wl, pcfg: realisticConfig(64, 128)})
 			refs = append(refs, ref{0, 0, 0, wi})
-			jobs = append(jobs, job{key: "fig10/red/" + wl, wlName: wl,
-				pcfg: realisticConfig(32, 96)})
+			jobs = append(jobs, job{wlName: wl, pcfg: realisticConfig(32, 96)})
 			refs = append(refs, ref{1, 0, 0, wi})
 			for ei, entries := range entriesSweep {
 				for pi, ports := range portsSweep {
 					jobs = append(jobs, job{
-						key:    fmt.Sprintf("fig10/%d/%d/%s", entries, ports, wl),
 						wlName: wl, pcfg: realisticConfig(32, 96),
 						useLTP: true, lcfg: realisticLTP(entries, ports),
 					})
@@ -477,14 +472,11 @@ func (s *Suite) Fig11() []*Table {
 		type ref struct{ kind, ti, wi int }
 		var refs []ref
 		for wi, wl := range panel.Wls {
-			jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-				pcfg: realisticConfig(64, 128)})
+			jobs = append(jobs, job{wlName: wl, pcfg: realisticConfig(64, 128)})
 			refs = append(refs, ref{0, 0, wi})
-			jobs = append(jobs, job{key: "fig10/red/" + wl, wlName: wl,
-				pcfg: realisticConfig(32, 96)})
+			jobs = append(jobs, job{wlName: wl, pcfg: realisticConfig(32, 96)})
 			refs = append(refs, ref{1, 0, wi})
-			jobs = append(jobs, job{key: "fig10/128/4/" + wl, wlName: wl,
-				pcfg:   realisticConfig(32, 96),
+			jobs = append(jobs, job{wlName: wl, pcfg: realisticConfig(32, 96),
 				useLTP: true, lcfg: realisticLTP(128, 4)})
 			refs = append(refs, ref{2, 0, wi})
 			for ti, tk := range tickets {
@@ -492,7 +484,6 @@ func (s *Suite) Fig11() []*Table {
 				lc.Mode = core.ModeNRNU
 				lc.Tickets = tk
 				jobs = append(jobs, job{
-					key:    fmt.Sprintf("fig11/%d/%s", tk, wl),
 					wlName: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc,
 				})
 				refs = append(refs, ref{3, ti, wi})
@@ -556,13 +547,11 @@ func (s *Suite) UITSweep() *Table {
 
 	var jobs []job
 	for _, wl := range g.Sensitive {
-		jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-			pcfg: realisticConfig(64, 128)})
+		jobs = append(jobs, job{wlName: wl, pcfg: realisticConfig(64, 128)})
 		for _, sz := range sizes {
 			lc := realisticLTP(128, 4)
 			lc.UITEntries = sz
 			jobs = append(jobs, job{
-				key:    fmt.Sprintf("uit/%d/%s", sz, wl),
 				wlName: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc,
 			})
 		}

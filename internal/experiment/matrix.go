@@ -1,8 +1,9 @@
 package experiment
 
-// The scenario-matrix campaign surface: Suite.Matrix runs ltp.RunMatrix
-// with the suite's budgets and renders the aggregate as a mean ± 95% CI
-// table — the campaign's answer to single-seed figure points.
+// The scenario-matrix campaign surface: Suite.Matrix submits the matrix
+// sweep (ltp.NewMatrixSweep) to the suite's engine with the suite's
+// budgets and renders the aggregate as a mean ± 95% CI table — the
+// campaign's answer to single-seed figure points.
 
 import (
 	"context"
@@ -14,9 +15,10 @@ import (
 
 // Matrix runs the scenario-matrix campaign (scenarios × configs ×
 // seeds; empty scenarios = every family, seeds <= 0 = 3) with the
-// suite's budgets and returns the rendered table.
+// suite's budgets, backend and interval count and returns the rendered
+// table.
 func (s *Suite) Matrix(scenarios []string, seeds int) (*Table, error) {
-	res, err := ltp.RunMatrix(ltp.MatrixSpec{
+	spec := ltp.MatrixSpec{
 		Scenarios:   scenarios,
 		Seeds:       seeds,
 		Scale:       s.Scale,
@@ -24,8 +26,17 @@ func (s *Suite) Matrix(scenarios []string, seeds int) (*Table, error) {
 		DetailInsts: s.DetailInsts,
 		WarmMode:    s.WarmMode,
 		Backend:     s.Backend,
-		Parallelism: s.Parallelism,
-	})
+		Intervals:   s.Intervals,
+	}
+	sweep, err := ltp.NewMatrixSweep(spec)
+	if err != nil {
+		return nil, err
+	}
+	sr, err := s.runSweep(sweep)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ltp.MatrixResultFromSweep(spec, sr)
 	if err != nil {
 		return nil, err
 	}
@@ -52,22 +63,7 @@ func (s *Suite) TriageMatrix(scenarios []string, seeds, topK int) ([]*Table, err
 		return nil, err
 	}
 	sweep.Triage = &ltp.TriageSpec{TopK: topK}
-	// Honour the suite's parallelism bound: a capped suite gets its own
-	// engine sized to it; otherwise the shared process-wide engine.
-	submit := ltp.Submit
-	if s.Parallelism > 0 {
-		e, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: s.Parallelism})
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		submit = e.Submit
-	}
-	job, err := submit(context.Background(), sweep)
-	if err != nil {
-		return nil, err
-	}
-	res, err := job.Wait()
+	res, err := s.runSweep(sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -77,6 +73,16 @@ func (s *Suite) TriageMatrix(scenarios []string, seeds, topK int) ([]*Table, err
 		sweepCellTable(fmt.Sprintf("Triage estimates (model backend): %d cells", len(res.Cells)), res.Cells),
 		sweepCellTable(fmt.Sprintf("Detailed top-%d (cycle backend)", topK), res.Triage.Detailed),
 	}, nil
+}
+
+// runSweep submits a sweep to the suite's engine and waits for its
+// result.
+func (s *Suite) runSweep(sweep ltp.SweepSpec) (*ltp.SweepResult, error) {
+	job, err := s.engine().Submit(context.Background(), sweep)
+	if err != nil {
+		return nil, err
+	}
+	return job.Wait()
 }
 
 // sweepCellTable renders sweep cells as a mean ± CI table, one row per

@@ -3,14 +3,21 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"ltp"
 )
 
 // tinyMatrixSuite keeps the end-to-end matrix test inside the -short
-// budget.
-func tinyMatrixSuite() *Suite {
+// budget, on its own four-worker engine.
+func tinyMatrixSuite(t *testing.T) *Suite {
 	s := NewSuite(0.05, 2_000, 6_000)
 	s.Quiet = true
-	s.Parallelism = 4
+	e, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	s.Engine = e
 	return s
 }
 
@@ -19,7 +26,7 @@ func tinyMatrixSuite() *Suite {
 // per scenario × config, and the CI note. Under `go test -race` this
 // doubles as race coverage of the campaign path the CLI uses.
 func TestSuiteMatrixEndToEnd(t *testing.T) {
-	s := tinyMatrixSuite()
+	s := tinyMatrixSuite(t)
 	tab, err := s.Matrix([]string{"branchy", "gemmblock"}, 2)
 	if err != nil {
 		t.Fatal(err)

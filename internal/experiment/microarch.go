@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"ltp"
-	"ltp/internal/sched"
 )
 
 // Microarch produces the predictor × prefetcher cross and the
@@ -21,20 +20,11 @@ func (s *Suite) Microarch() []*Table {
 	prefs := ltp.Prefetchers()
 	scenarios := []string{"branchy", "hashjoin", "ptrchase"}
 
-	type mj struct {
-		spec ltp.RunSpec
-	}
-	var jobs []mj
+	var specs []ltp.RunSpec
 	base := func(scenario string) ltp.RunSpec {
-		return ltp.RunSpec{
-			Scenario:  scenario,
-			Scale:     s.Scale,
-			WarmInsts: s.WarmInsts,
-			WarmMode:  s.WarmMode,
-			MaxInsts:  s.DetailInsts,
-			Backend:   s.Backend,
-			Intervals: s.Intervals,
-		}
+		spec := s.base()
+		spec.Scenario = scenario
+		return spec
 	}
 	for _, scn := range scenarios {
 		for _, bp := range preds {
@@ -42,7 +32,7 @@ func (s *Suite) Microarch() []*Table {
 				spec := base(scn)
 				spec.BranchPred = bp
 				spec.Prefetcher = pf
-				jobs = append(jobs, mj{spec: spec})
+				specs = append(specs, spec)
 			}
 		}
 	}
@@ -57,14 +47,10 @@ func (s *Suite) Microarch() []*Table {
 			if withHog {
 				spec.Corunners = hog
 			}
-			jobs = append(jobs, mj{spec: spec})
+			specs = append(specs, spec)
 		}
 	}
-
-	out := make([]ltp.RunResult, len(jobs))
-	sched.Run(s.Parallelism, len(jobs),
-		func(i int) float64 { return 1 },
-		func(i int) { out[i] = ltp.MustRun(jobs[i].spec) })
+	out := s.runSpecs(specs)
 
 	var tables []*Table
 	i := 0

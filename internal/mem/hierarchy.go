@@ -1,5 +1,7 @@
 package mem
 
+import "fmt"
+
 // Config describes the cache hierarchy (defaults mirror the paper's
 // Table 1: 32 kB 8-way L1s at 4 cycles, 256 kB 8-way L2 at 12 cycles with a
 // degree-4 stride prefetcher, 1 MB 16-way L3 at 36 cycles, DDR3-1600-class
@@ -60,6 +62,44 @@ func DefaultConfig() Config {
 		TagEarlyLead:   6,
 	}
 }
+
+// Validate reports the first structural error NewHierarchy would panic
+// on: a cache level whose size and associativity do not give a positive
+// power-of-two set count, a banked DRAM whose bank count or row size is
+// not a positive power of two, or an unknown prefetcher or a training
+// table that is not a power of two.
+func (c Config) Validate() error {
+	for _, lvl := range []struct {
+		name       string
+		size, ways int
+	}{
+		{"L1I", c.L1ISize, c.L1IWays},
+		{"L1D", c.L1DSize, c.L1DWays},
+		{"L2", c.L2Size, c.L2Ways},
+		{"L3", c.L3Size, c.L3Ways},
+	} {
+		if lvl.ways <= 0 || !isPow2(lvl.size/(lvl.ways*LineBytes)) {
+			return fmt.Errorf("mem: %s of %d bytes, %d ways has no power-of-two set count", lvl.name, lvl.size, lvl.ways)
+		}
+	}
+	if c.DRAM != nil {
+		if !isPow2(c.DRAM.Banks) {
+			return fmt.Errorf("mem: DRAM bank count %d is not a positive power of two", c.DRAM.Banks)
+		}
+		if !isPow2(c.DRAM.RowBytes) {
+			return fmt.Errorf("mem: DRAM row size %d is not a positive power of two", c.DRAM.RowBytes)
+		}
+	}
+	name := c.PrefetcherName()
+	if (name == "stride" || name == "stream") && c.PrefetchTable != 0 && !isPow2(c.PrefetchTable) {
+		return fmt.Errorf("mem: prefetcher table size %d is not a power of two", c.PrefetchTable)
+	}
+	_, err := NewPrefetcher(name, c.PrefetchTable, c.PrefetchDegree)
+	return err
+}
+
+// isPow2 reports whether n is a positive power of two.
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Result describes one memory access's timing.
 type Result struct {

@@ -13,6 +13,9 @@
 package pipeline
 
 import (
+	"errors"
+	"fmt"
+
 	"ltp/internal/bpred"
 	"ltp/internal/mem"
 )
@@ -146,21 +149,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks structural constraints and panics on violations; it is
-// called by New so misconfigurations fail fast.
-func (c *Config) Validate() {
+// Validate reports the first structural constraint the configuration
+// violates, its cache hierarchy's included (mem.Config.Validate). New
+// panics on the same violations, so callers that build cores from
+// untrusted input validate first.
+func (c *Config) Validate() error {
 	switch {
 	case c.FetchWidth <= 0 || c.DecodeWidth <= 0 || c.RenameWidth <= 0 ||
 		c.IssueWidth <= 0 || c.CommitWidth <= 0:
-		panic("pipeline: widths must be positive")
+		return errors.New("pipeline: widths must be positive")
 	case c.ROBSize <= 0 || c.IQSize <= 0 || c.LQSize <= 0 || c.SQSize <= 0:
-		panic("pipeline: structure sizes must be positive")
+		return errors.New("pipeline: structure sizes must be positive")
 	case c.IntRegs < 8 || c.FPRegs < 8:
-		panic("pipeline: too few available registers")
+		return errors.New("pipeline: too few available registers")
 	case c.NumALU <= 0 || c.NumMem <= 0:
-		panic("pipeline: need at least one ALU and one memory port")
+		return errors.New("pipeline: need at least one ALU and one memory port")
 	}
-	if _, err := bpred.New(c.BranchPred); err != nil {
-		panic("pipeline: " + err.Error())
+	if err := bpred.Check(c.BranchPred); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
 	}
+	return c.Hier.Validate()
 }

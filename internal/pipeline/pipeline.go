@@ -206,7 +206,9 @@ const (
 // New builds a pipeline over the given µop stream with the given Parker
 // (use NullParker{} for the baseline core).
 func New(cfg Config, stream prog.Stream, parker Parker) *Pipeline {
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	p := &Pipeline{
 		cfg:           cfg,
 		Hier:          mem.NewHierarchy(cfg.Hier),

@@ -332,23 +332,30 @@ func TestTicketMaskProperty(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
-	good.Validate() // must not panic
+	if err := good.Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
 
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.FetchWidth = 0 },
 		func(c *Config) { c.ROBSize = 0 },
 		func(c *Config) { c.IntRegs = 1 },
 		func(c *Config) { c.NumALU = 0 },
+		func(c *Config) { c.BranchPred = "perceptron" },
+		func(c *Config) { c.Hier.L1DSize = 3000 },
 	} {
 		c := DefaultConfig()
 		mut(&c)
+		if c.Validate() == nil {
+			t.Error("invalid config accepted")
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("invalid config must panic")
+					t.Error("New must panic on an invalid config")
 				}
 			}()
-			c.Validate()
+			New(c, nil, NullParker{})
 		}()
 	}
 }

@@ -134,14 +134,6 @@ func (p *Pool) SubmitCtx(ctx context.Context, tier Tier, cost float64, fn func(c
 	p.cond.Signal()
 }
 
-// Submit is the v1 shim: SubmitCtx with a background context at
-// TierInteractive.
-//
-// Deprecated: use SubmitCtx, which threads a context and a tier.
-func (p *Pool) Submit(cost float64, fn func()) {
-	p.SubmitCtx(context.Background(), TierInteractive, cost, func(context.Context) { fn() })
-}
-
 // RunBatch enqueues every fn at the given tier and returns only when
 // all of them have completed. The calling goroutine helps: while any
 // of the batch's jobs are still queued it dequeues and executes them

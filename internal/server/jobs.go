@@ -63,7 +63,7 @@ type trackedJob struct {
 	kind      JobKind
 	hash      string
 	job       *ltp.Job
-	mjob      *ltp.MatrixJob // non-nil for matrix-shaped jobs (result conversion)
+	matrix    *ltp.MatrixSpec // canonical campaign of a matrix-kind job (result conversion)
 	submitted time.Time
 
 	mu      sync.Mutex
@@ -81,9 +81,9 @@ type trackedJob struct {
 // count drops to zero the log — potentially thousands of full
 // RunResults — is dropped rather than retained for the registry's
 // whole 128-job history.
-func newTrackedJob(id string, kind JobKind, hash string, job *ltp.Job, mjob *ltp.MatrixJob, reserveStream bool) *trackedJob {
+func newTrackedJob(id string, kind JobKind, hash string, job *ltp.Job, matrix *ltp.MatrixSpec, reserveStream bool) *trackedJob {
 	t := &trackedJob{
-		id: id, kind: kind, hash: hash, job: job, mjob: mjob,
+		id: id, kind: kind, hash: hash, job: job, matrix: matrix,
 		submitted: time.Now(),
 		notify:    make(chan struct{}),
 		logDone:   make(chan struct{}),

@@ -434,7 +434,7 @@ func jobResponse(t *trackedJob) any {
 	if t.kind == KindMatrix {
 		resp := MatrixResponse{Job: view}
 		if view.Status == JobDone {
-			resp.Result, _ = t.mjob.Wait()
+			resp.Result = t.matrixResult()
 		}
 		return resp
 	}
@@ -443,6 +443,17 @@ func jobResponse(t *trackedJob) any {
 		resp.Result, _ = t.job.Wait()
 	}
 	return resp
+}
+
+// matrixResult folds a finished matrix-kind job's sweep back into the
+// matrix shape (nil unless the job succeeded).
+func (t *trackedJob) matrixResult() *ltp.MatrixResult {
+	sr, err := t.job.Wait()
+	if err != nil {
+		return nil
+	}
+	res, _ := ltp.MatrixResultFromSweep(*t.matrix, sr)
+	return res
 }
 
 // StreamEvent is one NDJSON line of POST /v1/matrix?stream=1 and POST
@@ -533,7 +544,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, t *trackedJob
 	}
 	ev := StreamEvent{Type: "result", Job: &view}
 	if t.kind == KindMatrix {
-		ev.Result, _ = t.mjob.Wait()
+		ev.Result = t.matrixResult()
 	} else {
 		ev.Sweep, _ = t.job.Wait()
 	}
@@ -551,7 +562,19 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	hash, err := spec.Hash()
+	canon, err := spec.Canonical()
+	if err != nil {
+		s.writeError(w, badRequest("%v", err))
+		return
+	}
+	hash, err := canon.Hash()
+	if err != nil {
+		s.writeError(w, badRequest("%v", err))
+		return
+	}
+	// A matrix is one shape of sweep: the job runs its sweep, and the
+	// finished sweep folds back into the matrix shape on the way out.
+	sweep, err := ltp.NewMatrixSweep(canon)
 	if err != nil {
 		s.writeError(w, badRequest("%v", err))
 		return
@@ -565,15 +588,15 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	mjob, err := s.engine.SubmitMatrix(spec)
+	job, err := s.engine.Submit(context.Background(), sweep)
 	if err != nil {
 		s.jobs.release()
 		s.writeError(w, badRequest("%v", err))
 		return
 	}
-	t := s.jobs.register(newTrackedJob(id, KindMatrix, hash, mjob.Job(), mjob, wantsStream(r)))
+	t := s.jobs.register(newTrackedJob(id, KindMatrix, hash, job, &canon, wantsStream(r)))
 	if s.logf != nil {
-		s.logf("campaign %s submitted: %d runs, hash %s", id, mjob.TotalRuns(), hash)
+		s.logf("campaign %s submitted: %d runs, hash %s", id, job.TotalRuns(), hash)
 	}
 	s.respondSubmitted(w, r, t)
 }

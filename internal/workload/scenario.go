@@ -5,7 +5,7 @@ package workload
 // program *generator* with knobs (footprint, stride, parallelism,
 // payload depth, branch entropy, phase length) and a seed that varies
 // data layouts, hash constants and branch-feeding data. The scenario
-// matrix campaign (ltp.RunMatrix) crosses families × configurations ×
+// matrix campaign (ltp.NewMatrixSweep) crosses families × configurations ×
 // seeds and reports mean ± CI instead of single-sample points.
 //
 // Families live in their own registry, separate from All(): the fixed

@@ -330,7 +330,7 @@ type RunSpec struct {
 // Canonical errors when the spec has no normal form: a caller-supplied
 // Program, a ReplayFrom/RecordTo stream, or a prebuilt LTP.Oracle
 // (their identity lives outside the spec). Such runs still execute
-// through Run; they just cannot be cached.
+// through RunContext; they just cannot be cached.
 func (s RunSpec) Canonical() (RunSpec, error) {
 	switch {
 	case s.Program != nil:
@@ -359,7 +359,7 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 		if _, err := workload.ByName(s.Workload); err != nil {
 			return RunSpec{}, err
 		}
-		// Run ignores the scenario fields when a kernel is named.
+		// resolve ignores the scenario fields when a kernel is named.
 		s.Scenario, s.Knobs, s.Seed = "", nil, 0
 	case s.Scenario != "":
 		fam, err := workload.FamilyByName(s.Scenario)
@@ -405,19 +405,22 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 	if s.BranchPred != "" {
 		pcfg.BranchPred = s.BranchPred
 	}
-	bp, err := bpred.New(pcfg.BranchPred)
-	if err != nil {
+	// Check, not New: building a predictor only to read its name would
+	// allocate its tables on every canonicalization.
+	if err := bpred.Check(pcfg.BranchPred); err != nil {
 		return RunSpec{}, err
 	}
-	pcfg.BranchPred = bp.Name()
+	if pcfg.BranchPred == "" {
+		pcfg.BranchPred = bpred.DefaultName
+	}
 	s.BranchPred = ""
 	if s.Prefetcher != "" {
 		pcfg.Hier.Prefetcher = s.Prefetcher
 	}
-	pname := pcfg.Hier.PrefetcherName()
-	if _, err := mem.NewPrefetcher(pname, pcfg.Hier.PrefetchTable, pcfg.Hier.PrefetchDegree); err != nil {
+	if err := pcfg.Hier.Validate(); err != nil {
 		return RunSpec{}, err
 	}
+	pname := pcfg.Hier.PrefetcherName()
 	pcfg.Hier.Prefetcher = pname
 	if pname == "none" {
 		// A disabled prefetcher has no degree or table.
@@ -452,7 +455,7 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 		}
 		s.LTP = &lcfg
 	} else {
-		// Run never reads these without UseLTP.
+		// resolve never reads these without UseLTP.
 		s.LTP, s.Oracle = nil, false
 	}
 	if s.Oracle && backend.Fidelity() != sim.FidelityCycle {
@@ -730,6 +733,48 @@ func specWarmKey(spec RunSpec) string {
 	return key
 }
 
+// oracleKeyVersion prefixes oracle memo keys; bump it whenever the
+// key's field set changes meaning.
+const oracleKeyVersion = "ok1"
+
+// oracleKey content-addresses exactly what core.BuildOracle reads: the
+// program (a registry kernel and scale, or a scenario family's knobs,
+// seed and scale), the pre-pass budget, the functional L1D/L2/L3
+// geometry and latencies, the prefetcher, and the ROB-sized dependence
+// window. The spec must name a workload or scenario.
+func oracleKey(spec RunSpec, budget int, pcfg pipeline.Config) (string, error) {
+	h := pcfg.Hier
+	id := struct {
+		Workload                      string
+		Scenario                      string
+		Knobs                         *workload.Knobs
+		Seed                          int64
+		Scale                         float64
+		Budget                        int
+		L1D, L2, L3                   [3]uint64
+		Prefetcher                    string
+		PrefetchTable, PrefetchDegree int
+		Window                        int
+	}{
+		Scale:          spec.Scale,
+		Budget:         budget,
+		L1D:            [3]uint64{uint64(h.L1DSize), uint64(h.L1DWays), h.L1Latency},
+		L2:             [3]uint64{uint64(h.L2Size), uint64(h.L2Ways), h.L2Latency},
+		L3:             [3]uint64{uint64(h.L3Size), uint64(h.L3Ways), h.L3Latency},
+		Prefetcher:     h.PrefetcherName(),
+		PrefetchTable:  h.PrefetchTable,
+		PrefetchDegree: h.PrefetchDegree,
+		Window:         pcfg.ROBSize,
+	}
+	// The same precedence programBuilder applies: a named kernel wins.
+	if spec.Workload != "" {
+		id.Workload = spec.Workload
+	} else {
+		id.Scenario, id.Knobs, id.Seed = spec.Scenario, spec.Knobs, spec.Seed
+	}
+	return hashJSON(oracleKeyVersion, id)
+}
+
 // Workloads returns the kernel registry.
 func Workloads() []workload.Spec { return workload.All() }
 
@@ -750,29 +795,9 @@ func Scenarios() []workload.Family { return workload.Families() }
 // ScenarioByName fetches one scenario family.
 func ScenarioByName(name string) (workload.Family, error) { return workload.FamilyByName(name) }
 
-// Run executes one simulation to completion, without cancellation.
-//
-// Deprecated: use RunContext, which can be cancelled or given a
-// deadline. Run is RunContext with a background context.
-func Run(spec RunSpec) (RunResult, error) {
-	return RunContext(context.Background(), spec)
-}
-
 // cancelErr normalizes a cancellation observed mid-run into the
 // context's own error (the cancellation cause when one was supplied).
 func cancelErr(ctx context.Context) error { return sim.CancelErr(ctx) }
-
-// execContextKey carries a sim.Executor through a context so a sampled
-// run launched from the engine fans its intervals onto the engine's
-// scheduler pool. Plain RunContext callers have no executor and run
-// intervals sequentially.
-type execContextKey struct{}
-
-// withExecutor returns ctx carrying the interval executor for sampled
-// runs (engine-internal; see execContextKey).
-func withExecutor(ctx context.Context, ex sim.Executor) context.Context {
-	return context.WithValue(ctx, execContextKey{}, ex)
-}
 
 // RunContext executes one simulation under ctx on the spec's execution
 // backend (BackendCycle unless the spec says otherwise). Cancellation
@@ -780,14 +805,59 @@ func withExecutor(ctx context.Context, ex sim.Executor) context.Context {
 // thousand cycles — inside the detailed simulation loop and the fast
 // warm-up, so a multi-minute run aborts within about a millisecond of
 // cancel. A cancelled run returns ctx's error (its cause, when one was
-// set) and no result.
+// set) and no result. An invalid configuration (see
+// pipeline.Config.Validate and core.Config.Validate) is an error, never
+// a panic.
 func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
+	return run(ctx, spec, runEnv{})
+}
+
+// runEnv is what an engine lends a run beyond its spec: the pool that
+// runs a sampled run's intervals, the co-runner captures a model
+// batch's lanes share, and the engine's oracle memo. The zero env —
+// RunContext's — runs intervals sequentially and builds everything
+// afresh.
+type runEnv struct {
+	exec    sim.Executor
+	corMemo map[string][]mem.CorunnerConfig
+	oracles *oracleMemo
+}
+
+// run executes one spec on its backend under env.
+func run(ctx context.Context, spec RunSpec, env runEnv) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, cancelErr(ctx)
 	}
 	backend, err := sim.Lookup(spec.Backend)
 	if err != nil {
 		return RunResult{}, err
+	}
+	ss, pcfg, lcfg, err := resolve(spec, env)
+	if err != nil {
+		return RunResult{}, err
+	}
+	st, err := backend.Run(ctx, ss)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return finishResult(st, pcfg, lcfg), nil
+}
+
+// resolve is the one place a RunSpec becomes a sim.Spec: it picks the
+// µop source (a replayed trace, or a program through the emulator —
+// deferred behind a lazyStream when a model run's warm group may be
+// cached), folds the predictor and prefetcher selections into the
+// pipeline configuration, validates both configurations, captures the
+// co-runner traffic, builds the oracle a limit-study run asks for, and
+// fixes the sampled interval count. It also returns the resolved
+// pipeline and LTP configurations finishResult needs.
+func resolve(spec RunSpec, env runEnv) (sim.Spec, pipeline.Config, *core.Config, error) {
+	fail := func(err error) (sim.Spec, pipeline.Config, *core.Config, error) {
+		return sim.Spec{}, pipeline.Config{}, nil, err
+	}
+	backend, err := sim.Lookup(spec.Backend)
+	if err != nil {
+		return fail(err)
 	}
 	cycleFidelity := backend.Fidelity() == sim.FidelityCycle
 	if spec.Scale == 0 {
@@ -802,8 +872,6 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	// program build, via the lazy stream) from its warm cache.
 	warmKey := specWarmKey(spec)
 
-	// Resolve the µop source: a replayed trace, or a program (explicit,
-	// scenario-generated, or registry kernel) through the emulator.
 	var stream prog.Stream
 	var program *prog.Program
 	var streamName string
@@ -811,7 +879,7 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if spec.ReplayFrom != nil {
 		r, err := trace.NewReader(spec.ReplayFrom)
 		if err != nil {
-			return RunResult{}, err
+			return fail(err)
 		}
 		reader = r
 		stream = r
@@ -822,7 +890,7 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	} else {
 		build, name, err := programBuilder(spec)
 		if err != nil {
-			return RunResult{}, err
+			return fail(err)
 		}
 		streamName = name
 		if warmKey != "" {
@@ -838,7 +906,7 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	var recorder *trace.Recorder
 	if spec.RecordTo != nil {
 		if !cycleFidelity {
-			return RunResult{}, fmt.Errorf("ltp: trace capture requires the cycle backend, not %q", backend.Name())
+			return fail(fmt.Errorf("ltp: trace capture requires the cycle backend, not %q", backend.Name()))
 		}
 		recorder = trace.NewRecorder(stream, spec.RecordTo, streamName)
 		stream = recorder
@@ -851,19 +919,15 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if spec.BranchPred != "" {
 		pcfg.BranchPred = spec.BranchPred
 	}
-	if _, err := bpred.New(pcfg.BranchPred); err != nil {
-		return RunResult{}, err
-	}
 	if spec.Prefetcher != "" {
 		pcfg.Hier.Prefetcher = spec.Prefetcher
 	}
-	if _, err := mem.NewPrefetcher(pcfg.Hier.PrefetcherName(),
-		pcfg.Hier.PrefetchTable, pcfg.Hier.PrefetchDegree); err != nil {
-		return RunResult{}, err
+	if err := pcfg.Validate(); err != nil {
+		return fail(err)
 	}
-	cors, err := buildCorunners(spec.Corunners, spec.Scale)
+	cors, err := env.corunners(spec.Corunners, spec.Scale)
 	if err != nil {
-		return RunResult{}, err
+		return fail(err)
 	}
 
 	var lcfg *core.Config
@@ -872,19 +936,22 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 		if spec.LTP != nil {
 			c = *spec.LTP
 		}
+		if err := c.Validate(); err != nil {
+			return fail(err)
+		}
 		// Oracle classification is a cycle-pipeline concept: an
 		// analytical backend would silently substitute its own
 		// urgency heuristic for the perfect pre-pass, so both the
 		// request flag and a prebuilt oracle must refuse loudly.
 		if (spec.Oracle || c.Oracle != nil) && !cycleFidelity {
-			return RunResult{}, fmt.Errorf("ltp: oracle classification requires the cycle backend, not %q", backend.Name())
+			return fail(fmt.Errorf("ltp: oracle classification requires the cycle backend, not %q", backend.Name()))
 		}
 		if spec.Oracle && c.Oracle == nil {
 			if program == nil {
-				return RunResult{}, fmt.Errorf("ltp: oracle classification needs a program, not a replayed trace")
+				return fail(fmt.Errorf("ltp: oracle classification needs a program, not a replayed trace"))
 			}
 			budget := int(spec.WarmInsts + spec.MaxInsts + 65_536)
-			c.Oracle = core.BuildOracle(program, budget, pcfg.Hier, pcfg.ROBSize)
+			c.Oracle = env.oracle(spec, program, budget, pcfg)
 		}
 		lcfg = &c
 	}
@@ -895,9 +962,7 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 		// always the K the cache key names.
 		intervals = sampledIntervals(spec.Intervals, spec.MaxInsts)
 	}
-	ex, _ := ctx.Value(execContextKey{}).(sim.Executor)
-
-	st, err := backend.Run(ctx, sim.Spec{
+	return sim.Spec{
 		Stream:       stream,
 		Reader:       reader,
 		Recorder:     recorder,
@@ -910,12 +975,48 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 		Corunners:    cors,
 		WarmKey:      warmKey,
 		Intervals:    intervals,
-		Exec:         ex,
-	})
-	if err != nil {
-		return RunResult{}, err
+		Exec:         env.exec,
+	}, pcfg, lcfg, nil
+}
+
+// corunners captures a run's co-runner traffic, through the env's memo
+// when it has one: a model batch's lanes usually share a co-runner set,
+// and capturing it is a functional emulation pass worth paying once.
+func (env runEnv) corunners(cors []Corunner, scale float64) ([]mem.CorunnerConfig, error) {
+	if len(cors) == 0 || env.corMemo == nil {
+		return buildCorunners(cors, scale)
 	}
-	return finishResult(st, pcfg, lcfg), nil
+	key, err := hashJSON("cor", struct {
+		Cors  []Corunner
+		Scale float64
+	}{cors, scale})
+	if err != nil {
+		return buildCorunners(cors, scale)
+	}
+	if out, ok := env.corMemo[key]; ok {
+		return out, nil
+	}
+	out, err := buildCorunners(cors, scale)
+	if err == nil {
+		env.corMemo[key] = out
+	}
+	return out, err
+}
+
+// oracle returns the limit-study classification pre-pass for a run —
+// from the engine's memo when the env has one and the program has a
+// content address (a registry kernel or a scenario), else freshly
+// built.
+func (env runEnv) oracle(spec RunSpec, program *prog.Program, budget int, pcfg pipeline.Config) *core.Oracle {
+	build := func() *core.Oracle { return core.BuildOracle(program, budget, pcfg.Hier, pcfg.ROBSize) }
+	if env.oracles == nil || spec.Program != nil {
+		return build()
+	}
+	key, err := oracleKey(spec, budget, pcfg)
+	if err != nil {
+		return build()
+	}
+	return env.oracles.get(key, build)
 }
 
 // finishResult folds backend stats into the public RunResult shape and
@@ -961,20 +1062,10 @@ func Submit(ctx context.Context, spec SweepSpec) (*Job, error) {
 	return DefaultEngine().Submit(ctx, spec)
 }
 
-// SubmitMatrix asynchronously submits a scenario-matrix campaign to
-// the process-wide DefaultEngine and returns immediately with a
-// MatrixJob handle (progress counters, Done channel, Wait).
-//
-// Deprecated: use Submit with NewMatrixSweep, which threads a context
-// and streams per-cell results. For a synchronous, uncached campaign
-// on a transient pool use RunMatrix.
-func SubmitMatrix(spec MatrixSpec) (*MatrixJob, error) {
-	return DefaultEngine().SubmitMatrix(spec)
-}
-
-// MustRun is Run that panics on error (experiment harness convenience).
+// MustRun is RunContext under a background context that panics on
+// error (a convenience for examples and scripts).
 func MustRun(spec RunSpec) RunResult {
-	r, err := Run(spec)
+	r, err := RunContext(context.Background(), spec)
 	if err != nil {
 		panic(fmt.Sprintf("ltp: %v", err))
 	}

@@ -1,15 +1,17 @@
 package ltp_test
 
 import (
+	"context"
 	"testing"
 
 	"ltp"
 	"ltp/internal/core"
+	"ltp/internal/mem"
 	"ltp/internal/pipeline"
 )
 
 func TestRunUnknownWorkload(t *testing.T) {
-	if _, err := ltp.Run(ltp.RunSpec{Workload: "nope"}); err == nil {
+	if _, err := ltp.RunContext(context.Background(), ltp.RunSpec{Workload: "nope"}); err == nil {
 		t.Fatal("unknown workload did not error")
 	}
 }
@@ -24,7 +26,7 @@ func TestWorkloadsRegistry(t *testing.T) {
 }
 
 func TestRunBaselineSmoke(t *testing.T) {
-	r, err := ltp.Run(ltp.RunSpec{
+	r, err := ltp.RunContext(context.Background(), ltp.RunSpec{
 		Workload: "gather", Scale: 0.05,
 		WarmInsts: 10_000, MaxInsts: 30_000,
 	})
@@ -179,7 +181,7 @@ func TestWarmModeString(t *testing.T) {
 
 func TestCustomProgram(t *testing.T) {
 	wl, _ := ltp.WorkloadByName("stream")
-	r, err := ltp.Run(ltp.RunSpec{
+	r, err := ltp.RunContext(context.Background(), ltp.RunSpec{
 		Program:   wl.Build(0.05),
 		WarmInsts: 5_000, MaxInsts: 20_000,
 	})
@@ -188,5 +190,53 @@ func TestCustomProgram(t *testing.T) {
 	}
 	if r.Committed < 20_000 {
 		t.Errorf("committed %d", r.Committed)
+	}
+}
+
+// TestRunRejectsInvalidConfig checks a structurally impossible core —
+// one every backend's constructors would panic on, or the model tier
+// would silently estimate — comes back from RunContext as an error on
+// every tier, never as a panic or a result.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	dram := mem.DefaultDRAMConfig()
+	dram.Banks = 3
+	for _, c := range []struct {
+		name string
+		mut  func(*ltp.RunSpec)
+	}{
+		{"IQ 0", func(s *ltp.RunSpec) { s.Pipeline.IQSize = 0 }},
+		{"L1D 3000 bytes", func(s *ltp.RunSpec) { s.Pipeline.Hier.L1DSize = 3000 }},
+		{"3 DRAM banks", func(s *ltp.RunSpec) { s.Pipeline.Hier.DRAM = &dram }},
+		{"12-entry UIT", func(s *ltp.RunSpec) { s.LTP.UITEntries = 12 }},
+	} {
+		for _, backend := range []string{ltp.BackendCycle, ltp.BackendModel, ltp.BackendSampled} {
+			pcfg, lcfg := pipeline.DefaultConfig(), core.DefaultConfig()
+			spec := ltp.RunSpec{
+				Workload: "indirect", Scale: 0.05, MaxInsts: 2_000,
+				Pipeline: &pcfg, UseLTP: true, LTP: &lcfg, Backend: backend,
+			}
+			c.mut(&spec)
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s on %s panicked: %v", c.name, backend, p)
+					}
+				}()
+				if _, err := ltp.RunContext(context.Background(), spec); err == nil {
+					t.Errorf("%s on %s: no error", c.name, backend)
+				}
+			}()
+		}
+	}
+}
+
+// TestHashRejectsBadPrefetchTable checks a prefetcher training table
+// that is not a power of two has no content address: Canonical errors
+// instead of panicking in the prefetcher constructor.
+func TestHashRejectsBadPrefetchTable(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	cfg.Hier.PrefetchTable = 3
+	if _, err := (ltp.RunSpec{Workload: "indirect", Pipeline: &cfg}).Hash(); err == nil {
+		t.Fatal("a 3-entry stride table hashed")
 	}
 }

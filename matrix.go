@@ -1,20 +1,19 @@
 package ltp
 
 // The scenario-matrix campaign: the cross-product of {scenario family ×
-// processor configuration × N seeds}, run on the shared LPT worker pool
-// and aggregated as mean ± 95% confidence intervals. It replaces the
-// single-seed figure points with a statistically honest population —
-// the foundation the scaling roadmap (sharding, multi-backend, remote
-// campaigns) builds on. RunMatrix is the synchronous, uncached runner;
-// Engine.SubmitMatrix (the campaign service path) executes the same
-// cell enumeration asynchronously through the content-addressed cache.
+// processor configuration × N seeds}, aggregated as mean ± 95%
+// confidence intervals. It replaces the single-seed figure points with
+// a statistically honest population. A matrix is one shape of sweep:
+// NewMatrixSweep maps it onto a SweepSpec, Engine.Submit runs that
+// through the engine's pool and content-addressed cache like any other
+// campaign, and MatrixResultFromSweep folds the finished sweep back
+// into the matrix shape.
 
 import (
 	"fmt"
 
 	"ltp/internal/core"
 	"ltp/internal/pipeline"
-	"ltp/internal/sched"
 	"ltp/internal/sim"
 	"ltp/internal/stats"
 	"ltp/internal/workload"
@@ -79,40 +78,15 @@ type MatrixSpec struct {
 	// cell (0 = DefaultSampledIntervals; ignored — and canonically
 	// zeroed — for other backends, as in RunSpec).
 	Intervals int
-
-	// Parallelism bounds concurrent simulations (0 = NumCPU). It does
-	// not affect results and is excluded from the campaign's identity
-	// (Canonical zeroes it).
-	Parallelism int
 }
 
 // Canonical returns the campaign in normal form: scenario and config
 // lists made explicit (empty = all families / DefaultMatrixConfigs,
-// validated), budget defaults filled in, and execution-only fields
-// (Parallelism) zeroed so they cannot perturb the campaign's identity.
-// Per-cell knob resolution happens at the RunSpec level, where the
-// scenario family is known.
-//
-// Canonical additionally rejects configs whose identity lives outside
-// the spec (a prebuilt LTP.Oracle) — they cannot be content-addressed.
-// RunMatrix, which never caches, accepts them (it normalizes without
-// this restriction).
+// validated) and budget defaults filled in. Per-cell knob resolution
+// happens at the RunSpec level, where the scenario family is known.
+// Configs whose identity lives outside the spec (a prebuilt LTP.Oracle)
+// have no canonical form: they cannot be content-addressed.
 func (m MatrixSpec) Canonical() (MatrixSpec, error) {
-	c, err := m.normalized()
-	if err != nil {
-		return MatrixSpec{}, err
-	}
-	for _, cfg := range c.Configs {
-		if cfg.UseLTP && cfg.LTP.Oracle != nil {
-			return MatrixSpec{}, fmt.Errorf("ltp: matrix config %q with a prebuilt oracle has no canonical form", cfg.Name)
-		}
-	}
-	return c, nil
-}
-
-// normalized is Canonical minus the hashability restriction: axes made
-// explicit and validated, defaults filled in, Parallelism zeroed.
-func (m MatrixSpec) normalized() (MatrixSpec, error) {
 	if len(m.Scenarios) == 0 {
 		m.Scenarios = workload.FamilyNames()
 	}
@@ -136,6 +110,9 @@ func (m MatrixSpec) normalized() (MatrixSpec, error) {
 			lcfg := core.DefaultConfig()
 			if configs[i].LTP != nil {
 				lcfg = *configs[i].LTP
+			}
+			if lcfg.Oracle != nil {
+				return MatrixSpec{}, fmt.Errorf("ltp: matrix config %q with a prebuilt oracle has no canonical form", configs[i].Name)
 			}
 			configs[i].LTP = &lcfg
 		} else {
@@ -168,7 +145,6 @@ func (m MatrixSpec) normalized() (MatrixSpec, error) {
 	} else {
 		m.Intervals = 0 // K is meaningless off the sampled backend
 	}
-	m.Parallelism = 0
 	return m, nil
 }
 
@@ -177,7 +153,7 @@ func (m MatrixSpec) normalized() (MatrixSpec, error) {
 // canonical form; "mx3": the sampled backend's interval count K).
 const matrixSpecHashVersion = "mx3"
 
-// Hash returns a stable content address ("mx4:<hex>") of the
+// Hash returns a stable content address ("mx3:<hex>") of the
 // canonical campaign; equal hashes mean identical cell populations.
 func (m MatrixSpec) Hash() (string, error) {
 	c, err := m.Canonical()
@@ -231,150 +207,29 @@ func (m *MatrixResult) Cell(scenario, config string) *MatrixCell {
 	return nil
 }
 
-// cellRun is one replicate of one matrix cell, ready to execute.
-type cellRun struct {
-	spec RunSpec
-	cell int // index into the scenario-major cell array
-}
-
-// matrixRuns expands a canonical campaign into its per-replicate runs,
-// cell-major in (scenario, config, seed) order.
-func matrixRuns(spec MatrixSpec) []cellRun {
-	scenarios, configs := spec.Scenarios, spec.Configs
-	runs := make([]cellRun, 0, len(scenarios)*len(configs)*spec.Seeds)
-	for si, scn := range scenarios {
-		for ci, cfg := range configs {
-			for k := 0; k < spec.Seeds; k++ {
-				runs = append(runs, cellRun{
-					cell: si*len(configs) + ci,
-					spec: RunSpec{
-						Scenario:  scn,
-						Knobs:     spec.Knobs,
-						Seed:      spec.BaseSeed + int64(k),
-						Scale:     spec.Scale,
-						WarmInsts: spec.WarmInsts,
-						WarmMode:  spec.WarmMode,
-						MaxInsts:  spec.DetailInsts,
-						Pipeline:  cfg.Pipeline,
-						UseLTP:    cfg.UseLTP,
-						LTP:       cfg.LTP,
-						Backend:   spec.Backend,
-						Intervals: spec.Intervals,
-					},
-				})
-			}
-		}
-	}
-	return runs
-}
-
-// runWeight estimates a run's relative wall-clock for LPT ordering:
-// LTP machinery and small IQs (higher CPI) dominate, exactly as in the
-// experiment suite's estimate. Model-backend cells cost a few percent
-// of a detailed cell (no per-cycle loop), so they must not claim the
-// longest-processing-time slots a campaign's detailed cells need.
-func runWeight(spec RunSpec) float64 {
-	c := 1.0
-	if spec.UseLTP {
-		c += 0.3
-	}
-	iq := pipeline.DefaultConfig().IQSize
-	if spec.Pipeline != nil {
-		iq = spec.Pipeline.IQSize
-	}
-	if iq < 8 {
-		iq = 8
-	}
-	w := c + 32.0/float64(iq)
-	switch specBackendName(spec) {
-	case BackendSampled:
-		// A sampled run cycle-simulates a 1/K coverage fraction and
-		// functionally warms the rest (roughly a tenth of detailed
-		// cost per instruction).
-		k := sampledIntervals(spec.Intervals, spec.MaxInsts)
-		w *= 0.1 + 1.0/float64(k)
-	default:
-		if !specCycleFidelity(spec) {
-			w *= 0.05
-		}
-	}
-	return w
-}
-
-// aggregateMatrix folds per-replicate results (indexed like
-// matrixRuns' output) into the campaign's cell summaries.
-func aggregateMatrix(spec MatrixSpec, runs []cellRun, results []RunResult) *MatrixResult {
-	scenarios, configs := spec.Scenarios, spec.Configs
-	out := &MatrixResult{Scenarios: scenarios, Seeds: spec.Seeds}
-	for _, c := range configs {
-		out.Configs = append(out.Configs, c.Name)
-	}
-	out.Cells = make([]MatrixCell, len(scenarios)*len(configs))
-	samples := make([][]RunResult, len(out.Cells))
-	for i, r := range runs {
-		samples[r.cell] = append(samples[r.cell], results[i])
-	}
-	for ci := range out.Cells {
-		cellRuns := samples[ci]
-		pull := func(f func(RunResult) float64) stats.Summary {
-			vals := make([]float64, len(cellRuns))
-			for i, r := range cellRuns {
-				vals[i] = f(r)
-			}
-			return stats.Summarize(vals)
-		}
-		cell := &out.Cells[ci]
-		cell.Scenario = scenarios[ci/len(configs)]
-		cell.Config = configs[ci%len(configs)].Name
-		cell.CPI = pull(func(r RunResult) float64 { return r.CPI })
-		cell.IPC = pull(func(r RunResult) float64 { return r.IPC })
-		cell.MLP = pull(func(r RunResult) float64 { return r.MLP })
-		cell.AvgLoadLat = pull(func(r RunResult) float64 { return r.AvgLoadLatency })
-		if configs[ci%len(configs)].UseLTP {
-			cell.Parked = pull(func(r RunResult) float64 {
-				if r.LTP == nil {
-					return 0
-				}
-				return r.LTP.AvgInsts
-			})
-		}
-	}
-	return out
-}
-
-// RunMatrix executes the scenario-matrix campaign on a transient
-// shared LPT worker pool and aggregates each cell's replicates into
-// mean ± 95% CI summaries. Every run is independent and deterministic
-// in its seed, so a matrix is reproducible run-to-run and machine-to-
-// machine. RunMatrix is synchronous and uncached, and it remains the
-// only campaign path that accepts non-content-addressable configs
-// (prebuilt oracles).
-//
-// Deprecated: new callers should submit the equivalent sweep —
-// Engine.Submit with NewMatrixSweep — which is cancellable, cached and
-// streams per-cell results; a finished sweep aggregates identically to
-// RunMatrix (differentially tested).
-func RunMatrix(spec MatrixSpec) (*MatrixResult, error) {
-	parallelism := spec.Parallelism
-	// normalized, not Canonical: RunMatrix never hashes or caches, so
-	// non-content-addressable configs (prebuilt oracles) stay legal.
-	canon, err := spec.normalized()
+// MatrixResultFromSweep folds a finished NewMatrixSweep campaign (axes
+// scenario, config, seed) back into the matrix shape: one cell per
+// scenario × config, scenario-major in the spec's order.
+func MatrixResultFromSweep(m MatrixSpec, sr *SweepResult) (*MatrixResult, error) {
+	c, err := m.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	runs := matrixRuns(canon)
-
-	results := make([]RunResult, len(runs))
-	errs := make([]error, len(runs))
-	sched.Run(parallelism, len(runs), func(i int) float64 { return runWeight(runs[i].spec) }, func(i int) {
-		results[i], errs[i] = Run(runs[i].spec)
-	})
-	for i, err := range errs {
-		if err != nil {
-			r := runs[i]
-			return nil, fmt.Errorf("ltp: matrix cell %s/%s seed %d: %w",
-				r.spec.Scenario, canon.Configs[r.cell%len(canon.Configs)].Name, r.spec.Seed, err)
+	out := &MatrixResult{Scenarios: c.Scenarios, Seeds: c.Seeds}
+	for _, cfg := range c.Configs {
+		out.Configs = append(out.Configs, cfg.Name)
+	}
+	out.Cells = make([]MatrixCell, len(sr.Cells))
+	for i, sc := range sr.Cells {
+		out.Cells[i] = MatrixCell{
+			Scenario:   sc.Coords[0],
+			Config:     sc.Coords[1],
+			CPI:        sc.CPI,
+			IPC:        sc.IPC,
+			MLP:        sc.MLP,
+			AvgLoadLat: sc.AvgLoadLat,
+			Parked:     sc.Parked,
 		}
 	}
-	return aggregateMatrix(canon, runs, results), nil
+	return out, nil
 }

@@ -1,9 +1,11 @@
 package ltp_test
 
 import (
+	"context"
 	"testing"
 
 	"ltp"
+	"ltp/internal/stats"
 )
 
 // quickMatrix is the smallest campaign that still exercises seed
@@ -14,8 +16,77 @@ func quickMatrix() ltp.MatrixSpec {
 		WarmInsts:   3_000,
 		DetailInsts: 8_000,
 		Seeds:       3,
-		Parallelism: 4,
 	}
+}
+
+// submitMatrix runs a matrix campaign on e as its sweep and folds the
+// finished sweep back into the matrix shape.
+func submitMatrix(tb testing.TB, e *ltp.Engine, spec ltp.MatrixSpec) (*ltp.MatrixResult, *ltp.Job) {
+	tb.Helper()
+	sweep, err := ltp.NewMatrixSweep(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	job, err := e.Submit(context.Background(), sweep)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sr, err := job.Wait()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := ltp.MatrixResultFromSweep(spec, sr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, job
+}
+
+// referenceMatrix computes a matrix the slow, independent way: every
+// replicate through its own RunContext — no engine, sweep or cache —
+// and each cell's metrics folded with stats.Summarize in seed order.
+func referenceMatrix(tb testing.TB, spec ltp.MatrixSpec) *ltp.MatrixResult {
+	tb.Helper()
+	c, err := spec.Canonical()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := &ltp.MatrixResult{Scenarios: c.Scenarios, Seeds: c.Seeds}
+	for _, cfg := range c.Configs {
+		out.Configs = append(out.Configs, cfg.Name)
+	}
+	for _, scn := range c.Scenarios {
+		for _, cfg := range c.Configs {
+			var cpi, ipc, mlp, lat, parked []float64
+			for k := 0; k < c.Seeds; k++ {
+				r, err := ltp.RunContext(context.Background(), ltp.RunSpec{
+					Scenario: scn, Knobs: c.Knobs, Seed: c.BaseSeed + int64(k),
+					Scale: c.Scale, WarmInsts: c.WarmInsts, WarmMode: c.WarmMode,
+					MaxInsts: c.DetailInsts, Pipeline: cfg.Pipeline,
+					UseLTP: cfg.UseLTP, LTP: cfg.LTP,
+					Backend: c.Backend, Intervals: c.Intervals,
+				})
+				if err != nil {
+					tb.Fatal(err)
+				}
+				cpi, ipc, mlp = append(cpi, r.CPI), append(ipc, r.IPC), append(mlp, r.MLP)
+				lat = append(lat, r.AvgLoadLatency)
+				if r.LTP != nil {
+					parked = append(parked, r.LTP.AvgInsts)
+				}
+			}
+			cell := ltp.MatrixCell{
+				Scenario: scn, Config: cfg.Name,
+				CPI: stats.Summarize(cpi), IPC: stats.Summarize(ipc),
+				MLP: stats.Summarize(mlp), AvgLoadLat: stats.Summarize(lat),
+			}
+			if cfg.UseLTP {
+				cell.Parked = stats.Summarize(parked)
+			}
+			out.Cells = append(out.Cells, cell)
+		}
+	}
+	return out
 }
 
 // TestScenarioRunDeterminism pins the property the whole campaign
@@ -31,11 +102,11 @@ func TestScenarioRunDeterminism(t *testing.T) {
 			MaxInsts:  8_000,
 			UseLTP:    true,
 		}
-		a, err := ltp.Run(spec)
+		a, err := ltp.RunContext(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ltp.Run(spec)
+		b, err := ltp.RunContext(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,10 +127,9 @@ func TestMatrixSeedSpread(t *testing.T) {
 	spec := quickMatrix()
 	spec.Scenarios = []string{"branchy", "hashjoin"}
 	spec.Configs = []ltp.MatrixConfig{{Name: "IQ64"}}
-	res, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 4})
+	defer e.Close()
+	res, _ := submitMatrix(t, e, spec)
 	for _, scn := range spec.Scenarios {
 		cell := res.Cell(scn, "IQ64")
 		if cell == nil {
@@ -78,20 +148,20 @@ func TestMatrixSeedSpread(t *testing.T) {
 }
 
 // TestMatrixDeterminism asserts a whole matrix is reproducible: two
-// identical campaigns aggregate to identical cells (the worker pool's
-// dispatch order must not leak into results).
+// identical campaigns on separate engines (no shared cache) aggregate
+// to identical cells (the worker pool's dispatch order must not leak
+// into results).
 func TestMatrixDeterminism(t *testing.T) {
 	spec := quickMatrix()
 	spec.Scenarios = []string{"prodcons"}
 	spec.Seeds = 2
-	a, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
+	var res [2]*ltp.MatrixResult
+	for i, par := range []int{1, 4} {
+		e := newTestEngine(t, ltp.EngineConfig{Parallelism: par})
+		res[i], _ = submitMatrix(t, e, spec)
+		e.Close()
 	}
-	b, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := res[0], res[1]
 	if len(a.Cells) != len(b.Cells) {
 		t.Fatalf("cell counts differ: %d vs %d", len(a.Cells), len(b.Cells))
 	}
@@ -110,11 +180,9 @@ func TestMatrixDeterminism(t *testing.T) {
 func TestMatrixFullCrossRace(t *testing.T) {
 	spec := quickMatrix()
 	spec.Seeds = 2
-	spec.Parallelism = 6
-	res, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 6})
+	defer e.Close()
+	res, _ := submitMatrix(t, e, spec)
 	nFams := len(ltp.Scenarios())
 	if nFams < 6 {
 		t.Fatalf("only %d scenario families", nFams)
@@ -140,7 +208,7 @@ func TestMatrixFullCrossRace(t *testing.T) {
 func TestMatrixUnknownScenario(t *testing.T) {
 	spec := quickMatrix()
 	spec.Scenarios = []string{"no-such-family"}
-	if _, err := ltp.RunMatrix(spec); err == nil {
+	if _, err := ltp.NewMatrixSweep(spec); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }

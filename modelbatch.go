@@ -6,7 +6,6 @@ import (
 	"ltp/internal/core"
 	"ltp/internal/mem"
 	"ltp/internal/pipeline"
-	"ltp/internal/prog"
 	"ltp/internal/sim"
 )
 
@@ -38,65 +37,14 @@ func modelBatchKey(c RunSpec) (string, bool) {
 	return key, true
 }
 
-// resolveModelLane turns one canonical model-backend spec into its
-// resolved sim.Spec (stream left to the caller — batch lanes share
-// one). corMemo deduplicates co-runner traffic capture across lanes:
-// sweep lanes usually share a co-runner set, and capturing it is a
-// functional emulation pass worth paying once.
-func resolveModelLane(spec RunSpec, corMemo map[string][]mem.CorunnerConfig) (sim.Spec, pipeline.Config, *core.Config, error) {
-	pcfg := pipeline.DefaultConfig()
-	if spec.Pipeline != nil {
-		pcfg = *spec.Pipeline
-	}
-	var cors []mem.CorunnerConfig
-	if len(spec.Corunners) > 0 {
-		memoKey, err := hashJSON("cor", struct {
-			Cors  []Corunner
-			Scale float64
-		}{spec.Corunners, spec.Scale})
-		if err == nil {
-			cors = corMemo[memoKey]
-		}
-		if cors == nil {
-			cors, err = buildCorunners(spec.Corunners, spec.Scale)
-			if err != nil {
-				return sim.Spec{}, pipeline.Config{}, nil, err
-			}
-			if memoKey != "" {
-				corMemo[memoKey] = cors
-			}
-		}
-	}
-	var lcfg *core.Config
-	if spec.UseLTP {
-		c := core.DefaultConfig()
-		if spec.LTP != nil {
-			c = *spec.LTP
-		}
-		lcfg = &c
-	}
-	warmKey, err := modelWarmKey(spec)
-	if err != nil {
-		warmKey = ""
-	}
-	return sim.Spec{
-		Pipeline:  pcfg,
-		LTP:       lcfg,
-		WarmInsts: spec.WarmInsts,
-		MaxInsts:  spec.MaxInsts,
-		MaxCycles: spec.MaxCycles,
-		Corunners: cors,
-		WarmKey:   warmKey,
-	}, pcfg, lcfg, nil
-}
-
 // runModelBatch evaluates a group of canonical model-backend specs
 // (equal modelBatchKey) in one shared pass through the model backend's
 // RunBatch: the functional stream is built lazily once, driven once,
-// and fanned into per-config timing lanes. Results and errors are
-// positional; each cell's result is bit-identical to what RunContext
-// would have produced for it alone.
-func runModelBatch(ctx context.Context, specs []RunSpec) ([]RunResult, []error) {
+// and fanned into per-config timing lanes. Each lane resolves exactly
+// as a single run does (resolve), then shares the first lane's stream.
+// Results and errors are positional; each cell's result is
+// bit-identical to what RunContext would have produced for it alone.
+func runModelBatch(ctx context.Context, specs []RunSpec, env runEnv) ([]RunResult, []error) {
 	results := make([]RunResult, len(specs))
 	errs := make([]error, len(specs))
 	if len(specs) == 0 {
@@ -114,32 +62,26 @@ func runModelBatch(ctx context.Context, specs []RunSpec) ([]RunResult, []error) 
 		// Registry holds a non-batching model backend (tests can do
 		// this); fall back to sequential single-cell runs.
 		for i, s := range specs {
-			results[i], errs[i] = RunContext(ctx, s)
+			results[i], errs[i] = run(ctx, s, env)
 		}
 		return results, errs
 	}
 
-	build, _, err := programBuilder(specs[0])
-	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return results, errs
-	}
-	stream := newLazyStream(func() prog.Stream { return prog.NewEmulator(build()) })
-
-	corMemo := make(map[string][]mem.CorunnerConfig)
+	// Lanes usually share a co-runner set; capture it once per batch.
+	env.corMemo = make(map[string][]mem.CorunnerConfig)
 	simSpecs := make([]sim.Spec, 0, len(specs))
-	lanes := make([]int, 0, len(specs))     // simSpecs index -> specs index
+	lanes := make([]int, 0, len(specs)) // simSpecs index -> specs index
 	pcfgs := make([]pipeline.Config, len(specs))
 	lcfgs := make([]*core.Config, len(specs))
 	for i, s := range specs {
-		ss, pcfg, lcfg, err := resolveModelLane(s, corMemo)
+		ss, pcfg, lcfg, err := resolve(s, env)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		ss.Stream = stream
+		if len(simSpecs) > 0 {
+			ss.Stream = simSpecs[0].Stream
+		}
 		pcfgs[i], lcfgs[i] = pcfg, lcfg
 		simSpecs = append(simSpecs, ss)
 		lanes = append(lanes, i)

@@ -31,7 +31,7 @@ import (
 // order, later axes seeing earlier axes' effects.
 type RunPatch struct {
 	// Workload selects a fixed kernel (RunSpec.Canonical resolves a
-	// workload/scenario overlap in the kernel's favour, as Run does).
+	// workload/scenario overlap in the kernel's favour, as RunContext does).
 	Workload *string `json:"workload,omitempty"`
 	// Scenario selects a scenario family.
 	Scenario *string `json:"scenario,omitempty"`
@@ -79,6 +79,9 @@ type RunPatch struct {
 	// Ident tweaks the LTP identification policy ("paper", "crit") on
 	// the LTP configuration, like Mode.
 	Ident *string `json:"ident,omitempty"`
+	// Oracle sets the limit study's perfect classification
+	// (RunSpec.Oracle; cycle backend only).
+	Oracle *bool `json:"oracle,omitempty"`
 	// Backend selects the execution backend ("cycle", "sampled",
 	// "model") — the sweep's fidelity axis. Replicate axes may not
 	// patch it: each cell's mean ± CI must aggregate runs of a single
@@ -175,6 +178,9 @@ func (p RunPatch) apply(s RunSpec) RunSpec {
 		}
 		s.LTP = &cfg
 	}
+	if p.Oracle != nil {
+		s.Oracle = *p.Oracle
+	}
 	if p.Backend != nil {
 		s.Backend = *p.Backend
 	}
@@ -222,8 +228,8 @@ type TriageSpec struct {
 
 // SweepSpec describes a generalized sweep campaign: Base patched by
 // the cross-product of Axes. The zero Axes sweep is a single cell
-// (just Base). Submit it with Engine.Submit; RunMatrix-style matrices
-// are one constructor away (NewMatrixSweep).
+// (just Base). Submit it with Engine.Submit; scenario matrices are one
+// constructor away (NewMatrixSweep).
 type SweepSpec struct {
 	// Base is the template spec every cell starts from. It need not be
 	// runnable on its own (an axis may supply the scenario), but every
@@ -781,9 +787,9 @@ func fillCellCoords(spec SweepSpec, cells []SweepCell) {
 
 // NewMatrixSweep maps a scenario-matrix campaign onto the generalized
 // sweep: a "scenario" axis, a "config" axis, and a replicated "seed"
-// axis over the matrix's budget/scale base. The enumeration order and
-// the aggregation are exactly the matrix's, so submitting the sweep
-// yields cell summaries identical to RunMatrix on the same spec, and
+// axis over the matrix's budget/scale/interval base. The enumeration
+// is scenario-major, then config, then seed, so the finished sweep's
+// cells are the matrix's cells in order (MatrixResultFromSweep), and
 // the sweep hash is a fixed point of MatrixSpec.Canonical (equivalent
 // matrices map to equal sweep hashes).
 func NewMatrixSweep(m MatrixSpec) (SweepSpec, error) {
@@ -821,29 +827,8 @@ func NewMatrixSweep(m MatrixSpec) (SweepSpec, error) {
 			WarmMode:  c.WarmMode,
 			MaxInsts:  c.DetailInsts,
 			Backend:   c.Backend,
+			Intervals: c.Intervals,
 		},
 		Axes: []SweepAxis{scnAxis, cfgAxis, seedAxis},
 	}, nil
-}
-
-// matrixResultFromSweep reassembles a MatrixResult from a finished
-// NewMatrixSweep campaign (axes scenario, config, seed).
-func matrixResultFromSweep(m MatrixSpec, sr *SweepResult) *MatrixResult {
-	out := &MatrixResult{Scenarios: m.Scenarios, Seeds: m.Seeds}
-	for _, c := range m.Configs {
-		out.Configs = append(out.Configs, c.Name)
-	}
-	out.Cells = make([]MatrixCell, len(sr.Cells))
-	for i, sc := range sr.Cells {
-		out.Cells[i] = MatrixCell{
-			Scenario:   sc.Coords[0],
-			Config:     sc.Coords[1],
-			CPI:        sc.CPI,
-			IPC:        sc.IPC,
-			MLP:        sc.MLP,
-			AvgLoadLat: sc.AvgLoadLat,
-			Parked:     sc.Parked,
-		}
-	}
-	return out
 }

@@ -95,16 +95,13 @@ func summariesEqual(a, b *ltp.MatrixCell) bool {
 		a.AvgLoadLat == b.AvgLoadLat && a.Parked == b.Parked
 }
 
-// TestSweepMatrixDifferential holds the acceptance criterion: the old
-// synchronous RunMatrix shim and the new Engine.Submit sweep path
-// produce identical aggregated results for the same campaign.
+// TestSweepMatrixDifferential holds the acceptance criterion: the
+// Engine.Submit sweep path aggregates a matrix campaign exactly as an
+// independent per-replicate reference does, and MatrixResultFromSweep
+// folds it back into the matrix shape without loss.
 func TestSweepMatrixDifferential(t *testing.T) {
 	spec := quickSweepMatrix()
-
-	old, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referenceMatrix(t, spec)
 
 	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 4})
 	defer e.Close()
@@ -120,12 +117,16 @@ func TestSweepMatrixDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mres, err := ltp.MatrixResultFromSweep(spec, sres)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, scn := range old.Scenarios {
-		for _, cfg := range old.Configs {
-			oc := old.Cell(scn, cfg)
+	for _, scn := range ref.Scenarios {
+		for _, cfg := range ref.Configs {
+			rc := ref.Cell(scn, cfg)
 			sc := sres.Cell(scn, cfg)
-			if oc == nil || sc == nil {
+			if rc == nil || sc == nil {
 				t.Fatalf("missing cell %s/%s on one path", scn, cfg)
 			}
 			nc := ltp.MatrixCell{
@@ -133,30 +134,78 @@ func TestSweepMatrixDifferential(t *testing.T) {
 				CPI: sc.CPI, IPC: sc.IPC, MLP: sc.MLP,
 				AvgLoadLat: sc.AvgLoadLat, Parked: sc.Parked,
 			}
-			if !summariesEqual(oc, &nc) {
-				t.Fatalf("cell %s/%s differs:\nRunMatrix: %+v\nSubmit:    %+v", scn, cfg, *oc, nc)
+			if !summariesEqual(rc, &nc) {
+				t.Fatalf("cell %s/%s differs:\nreference: %+v\nSubmit:    %+v", scn, cfg, *rc, nc)
 			}
-			if sc.Replicates != old.Seeds {
-				t.Fatalf("cell %s/%s replicates = %d; want %d", scn, cfg, sc.Replicates, old.Seeds)
+			if sc.Replicates != ref.Seeds {
+				t.Fatalf("cell %s/%s replicates = %d; want %d", scn, cfg, sc.Replicates, ref.Seeds)
+			}
+			if !summariesEqual(rc, mres.Cell(scn, cfg)) {
+				t.Fatalf("folded matrix cell %s/%s differs from the reference", scn, cfg)
 			}
 		}
+	}
+}
+
+// TestMatrixSweepCarriesIntervals pins the sampled interval count K
+// through NewMatrixSweep: every enumerated run hashes as the RunSpec
+// with that K, matrices with different K enumerate different sweeps,
+// and default-K and cycle matrices keep their addresses.
+func TestMatrixSweepCarriesIntervals(t *testing.T) {
+	m := ltp.MatrixSpec{
+		Scenarios: []string{"branchy"}, Configs: []ltp.MatrixConfig{{Name: "IQ64"}},
+		Seeds: 2, Scale: 0.05, DetailInsts: 8_000, Backend: ltp.BackendSampled,
+	}
+	sweepHash := func(m ltp.MatrixSpec) string {
+		t.Helper()
+		s, err := ltp.NewMatrixSweep(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := s.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
 
-	// The MatrixJob shim must agree with both.
-	mjob, err := e.SubmitMatrix(spec)
+	k4 := m
+	k4.Intervals = 4
+	s4, err := ltp.NewMatrixSweep(k4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := mjob.Wait()
+	hashes, err := s4.RunHashes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scn := range old.Scenarios {
-		for _, cfg := range old.Configs {
-			if !summariesEqual(old.Cell(scn, cfg), mres.Cell(scn, cfg)) {
-				t.Fatalf("shim cell %s/%s differs from RunMatrix", scn, cfg)
-			}
+	for seed, h := range hashes {
+		want, err := ltp.RunSpec{
+			Scenario: "branchy", Seed: int64(seed), Scale: 0.05, MaxInsts: 8_000,
+			Backend: ltp.BackendSampled, Intervals: 4,
+		}.Hash()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if h != want {
+			t.Errorf("seed %d run hashes as %s; want the K=4 run %s", seed, h, want)
+		}
+	}
+	k16 := m
+	k16.Intervals = 16
+	if sweepHash(k4) == sweepHash(k16) {
+		t.Error("K=4 and K=16 matrices enumerate the same sweep")
+	}
+
+	// Addresses from before K reached the sweep base: the default K and
+	// a cycle matrix must not move.
+	if got, want := sweepHash(m), "sw1:ae540400849b156245f54d65057415302640423b933f92e9c0ffa06ae7b6fa0c"; got != want {
+		t.Errorf("default-K sampled matrix sweep moved: %s, want %s", got, want)
+	}
+	cyc := m
+	cyc.Backend = ""
+	if got, want := sweepHash(cyc), "sw1:204ce306c1660132da37a8c97e2f5d79d348294687cc738f1c6aee435a0b591a"; got != want {
+		t.Errorf("cycle matrix sweep moved: %s, want %s", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package ltp_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"ltp"
@@ -39,14 +40,14 @@ func TestTraceReplayDifferential(t *testing.T) {
 				spec := diffSpec(f.Name, useLTP)
 				var buf bytes.Buffer
 				spec.RecordTo = &buf
-				direct, err := ltp.Run(spec)
+				direct, err := ltp.RunContext(context.Background(), spec)
 				if err != nil {
 					t.Fatalf("recording run: %v", err)
 				}
 
 				spec.RecordTo = nil
 				spec.ReplayFrom = bytes.NewReader(buf.Bytes())
-				replay, err := ltp.Run(spec)
+				replay, err := ltp.RunContext(context.Background(), spec)
 				if err != nil {
 					t.Fatalf("replay run: %v", err)
 				}
@@ -85,13 +86,13 @@ func TestTraceReplayDifferentialKernel(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		spec.RecordTo = &buf
-		direct, err := ltp.Run(spec)
+		direct, err := ltp.RunContext(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%v: recording run: %v", wm, err)
 		}
 		spec.RecordTo = nil
 		spec.ReplayFrom = bytes.NewReader(buf.Bytes())
-		replay, err := ltp.Run(spec)
+		replay, err := ltp.RunContext(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%v: replay run: %v", wm, err)
 		}
@@ -107,7 +108,7 @@ func TestTraceReplayCorruptFails(t *testing.T) {
 	spec := diffSpec("branchy", false)
 	var buf bytes.Buffer
 	spec.RecordTo = &buf
-	if _, err := ltp.Run(spec); err != nil {
+	if _, err := ltp.RunContext(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	spec.RecordTo = nil
@@ -115,7 +116,7 @@ func TestTraceReplayCorruptFails(t *testing.T) {
 	// Chop the trace mid-stream: the replay must report truncation.
 	cut := buf.Bytes()[:buf.Len()/2]
 	spec.ReplayFrom = bytes.NewReader(cut)
-	if _, err := ltp.Run(spec); err == nil {
+	if _, err := ltp.RunContext(context.Background(), spec); err == nil {
 		t.Error("truncated trace replayed without error")
 	}
 
@@ -124,7 +125,7 @@ func TestTraceReplayCorruptFails(t *testing.T) {
 	var rebuf bytes.Buffer
 	spec.ReplayFrom = bytes.NewReader(cut)
 	spec.RecordTo = &rebuf
-	if _, err := ltp.Run(spec); err == nil {
+	if _, err := ltp.RunContext(context.Background(), spec); err == nil {
 		t.Error("truncated trace replayed without error while re-recording")
 	}
 }
@@ -137,7 +138,7 @@ func TestTraceReplayBudgetMismatchFails(t *testing.T) {
 	spec := diffSpec("branchy", false)
 	var buf bytes.Buffer
 	spec.RecordTo = &buf
-	if _, err := ltp.Run(spec); err != nil {
+	if _, err := ltp.RunContext(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	spec.RecordTo = nil
@@ -147,7 +148,7 @@ func TestTraceReplayBudgetMismatchFails(t *testing.T) {
 	big := spec
 	big.MaxInsts = spec.MaxInsts * 50
 	big.ReplayFrom = bytes.NewReader(raw)
-	if _, err := ltp.Run(big); err == nil {
+	if _, err := ltp.RunContext(context.Background(), big); err == nil {
 		t.Error("oversized MaxInsts replay returned silently partial stats")
 	}
 
@@ -155,7 +156,7 @@ func TestTraceReplayBudgetMismatchFails(t *testing.T) {
 	hot := spec
 	hot.WarmInsts = spec.WarmInsts + spec.MaxInsts + 1<<20
 	hot.ReplayFrom = bytes.NewReader(raw)
-	if _, err := ltp.Run(hot); err == nil {
+	if _, err := ltp.RunContext(context.Background(), hot); err == nil {
 		t.Error("warm-up-eats-trace replay returned silently empty stats")
 	}
 
@@ -163,7 +164,7 @@ func TestTraceReplayBudgetMismatchFails(t *testing.T) {
 	capped := spec
 	capped.MaxCycles = 50
 	capped.ReplayFrom = bytes.NewReader(raw)
-	if _, err := ltp.Run(capped); err != nil {
+	if _, err := ltp.RunContext(context.Background(), capped); err != nil {
 		t.Errorf("cycle-capped replay rejected: %v", err)
 	}
 }
