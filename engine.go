@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"ltp/internal/cache"
-	"ltp/internal/core"
 	"ltp/internal/pipeline"
 	"ltp/internal/sched"
 	"ltp/internal/store"
@@ -74,8 +73,9 @@ type Engine struct {
 	// per backend (cache hits and shared waiters never enter).
 	outstanding map[string]int
 
-	// oracles shares limit-study oracles across the engine's runs.
-	oracles oracleMemo
+	// oracles shares limit-study oracles across the engine's runs,
+	// keyed by oracleKey (bounded LRU, one build per key).
+	oracles *cache.Cache
 }
 
 // NewEngine starts an engine; Close releases its workers (and the
@@ -83,8 +83,9 @@ type Engine struct {
 // EngineConfig.StorePath — a store-less config cannot fail.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{
-		pool:  sched.NewPool(cfg.Parallelism),
-		cache: cache.New(cfg.CacheEntries),
+		pool:    sched.NewPool(cfg.Parallelism),
+		cache:   cache.New(cfg.CacheEntries),
+		oracles: cache.New(oracleMemoEntries),
 	}
 	if cfg.StorePath != "" {
 		st, err := store.Open(cfg.StorePath)
@@ -282,74 +283,14 @@ func (x poolExecutor) RunBatch(ctx context.Context, costs []float64, fns []func(
 // sampled cell fans its interval simulations back onto this pool (see
 // poolExecutor), and oracle runs share the engine's oracle memo.
 func (e *Engine) env() runEnv {
-	return runEnv{exec: poolExecutor{e.pool}, oracles: &e.oracles}
+	return runEnv{exec: poolExecutor{e.pool}, oracles: e.oracles}
 }
 
 // oracleMemoEntries bounds how many oracles an engine retains: enough
 // for every kernel of a limit-study figure to stay resident at once.
+// Every oracle job of a figure on one kernel reads the same pre-pass,
+// which costs up to a fifth of such a run.
 const oracleMemoEntries = 32
-
-// oracleMemo shares limit-study oracles across an engine's runs, keyed
-// by oracleKey: every oracle job of a figure on one kernel reads the
-// same pre-pass, which costs up to a fifth of such a run. Concurrent
-// first requests for a key build it once; when the memo is full the
-// least recently used entry goes.
-type oracleMemo struct {
-	mu      sync.Mutex
-	tick    uint64
-	entries map[string]*oracleEntry
-}
-
-// oracleEntry is one memoized oracle; ready closes once the build
-// finished (o stays nil if it panicked).
-type oracleEntry struct {
-	ready chan struct{}
-	o     *core.Oracle
-	used  uint64
-}
-
-// get returns the oracle memoized under key, building it with build on
-// a miss.
-func (m *oracleMemo) get(key string, build func() *core.Oracle) *core.Oracle {
-	m.mu.Lock()
-	m.tick++
-	if e, ok := m.entries[key]; ok {
-		e.used = m.tick
-		m.mu.Unlock()
-		<-e.ready
-		if e.o == nil {
-			return build() // the first build panicked; retry here
-		}
-		return e.o
-	}
-	if m.entries == nil {
-		m.entries = make(map[string]*oracleEntry)
-	}
-	if len(m.entries) >= oracleMemoEntries {
-		lru := ""
-		for k, e := range m.entries {
-			if lru == "" || e.used < m.entries[lru].used {
-				lru = k
-			}
-		}
-		delete(m.entries, lru)
-	}
-	e := &oracleEntry{ready: make(chan struct{}), used: m.tick}
-	m.entries[key] = e
-	m.mu.Unlock()
-	defer func() {
-		if e.o == nil {
-			m.mu.Lock()
-			if m.entries[key] == e {
-				delete(m.entries, key)
-			}
-			m.mu.Unlock()
-		}
-		close(e.ready)
-	}()
-	e.o = build()
-	return e.o
-}
 
 // RunCached executes one simulation through the engine's pool and
 // cache at the interactive tier (ahead of queued campaign cells),
@@ -389,14 +330,12 @@ func (e *Engine) runCached(ctx context.Context, tier sched.Tier, spec RunSpec) (
 		return RunResult{}, cache.Miss, "", err
 	}
 	v, outcome, err := e.cache.Do(ctx, key, func(cctx context.Context) (any, error) {
-		done := make(chan struct{})
 		var res RunResult
 		var rerr error
 		backend := specBackendName(spec)
 		e.noteOutstanding(backend, 1)
-		e.pool.SubmitCtx(cctx, tier, runWeight(spec), func(tctx context.Context) {
-			defer close(done)
-			defer e.noteOutstanding(backend, -1)
+		defer e.noteOutstanding(backend, -1)
+		if err := e.runTask(cctx, tier, runWeight(spec), func(tctx context.Context) {
 			// A panicking simulation must become this request's error,
 			// not an unrecovered panic on a pool worker (which would
 			// kill the process) — and must not let a zero-value result
@@ -419,8 +358,9 @@ func (e *Engine) runCached(ctx context.Context, tier sched.Tier, spec RunSpec) (
 			if rerr == nil {
 				e.noteRunSeconds(backend, time.Since(start).Seconds())
 			}
-		})
-		<-done
+		}); err != nil {
+			return nil, err
+		}
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -430,6 +370,35 @@ func (e *Engine) runCached(ctx context.Context, tier sched.Tier, spec RunSpec) (
 		return RunResult{}, outcome, key, err
 	}
 	return v.(cachedCell).res, outcome, key, nil
+}
+
+// runTask runs fn on the pool at the given tier and cost and blocks
+// until it returns. A task abandoned while still queued (ctx dies
+// before a worker takes it) returns ctx's error at once and fn never
+// runs, so a caller is never held behind other work; a task that has
+// started is waited out — fn observes ctx and stops within about a
+// millisecond — so abandoned work has left the worker when the
+// caller's cache flight resolves.
+func (e *Engine) runTask(ctx context.Context, tier sched.Tier, cost float64, fn func(context.Context)) error {
+	const queued, started, abandoned = 0, 1, 2
+	var state atomic.Int32
+	done := make(chan struct{})
+	e.pool.SubmitCtx(ctx, tier, cost, func(tctx context.Context) {
+		if !state.CompareAndSwap(queued, started) {
+			return
+		}
+		defer close(done)
+		fn(tctx)
+	})
+	select {
+	case <-done:
+	case <-ctx.Done():
+		if state.CompareAndSwap(queued, abandoned) {
+			return ctx.Err()
+		}
+		<-done
+	}
+	return nil
 }
 
 // ErrJobCanceled is the cause a Job's Wait reports after Cancel (when
@@ -1007,15 +976,13 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []R
 		}
 		mvals := make([]any, len(miss))
 		merrs := make([]error, len(miss))
-		done := make(chan struct{})
 		var weight float64
 		for i := range specs {
 			weight += runWeight(specs[i])
 		}
 		e.noteOutstanding(BackendModel, len(specs))
-		e.pool.SubmitCtx(bctx, tier, weight, func(tctx context.Context) {
-			defer close(done)
-			defer e.noteOutstanding(BackendModel, -len(specs))
+		defer e.noteOutstanding(BackendModel, -len(specs))
+		if err := e.runTask(bctx, tier, weight, func(tctx context.Context) {
 			// A panicking batch must become per-lane errors, not an
 			// unrecovered panic on a pool worker.
 			defer func() {
@@ -1048,8 +1015,11 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []R
 				mvals[j] = cachedCell{spec: specs[j], res: rres[j]}
 				e.noteRunSeconds(BackendModel, perLane)
 			}
-		})
-		<-done
+		}); err != nil {
+			for j := range merrs {
+				merrs[j] = err
+			}
+		}
 		return mvals, merrs
 	})
 	for j, i := range sub {

@@ -1,13 +1,16 @@
 package ltp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
-	"ltp/internal/core"
+	"ltp/internal/cache"
 	"ltp/internal/pipeline"
+	"ltp/internal/sched"
 )
 
 // TestRunWeightLPTOrder pins the LPT cost heuristic the engine orders
@@ -59,35 +62,105 @@ func TestPhaseUnitsHeaviestFirst(t *testing.T) {
 	}
 }
 
-// TestOracleMemo checks concurrent first requests for one key build the
-// oracle once and share it, and the memo never holds more than its
-// bound.
-func TestOracleMemo(t *testing.T) {
-	var m oracleMemo
-	var builds atomic.Int32
-	shared := &core.Oracle{}
-	var wg sync.WaitGroup
-	got := make([]*core.Oracle, 8)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = m.get("k", func() *core.Oracle { builds.Add(1); return shared })
-		}(i)
+// TestOracleMemoShared checks runs on one oracle key share a single
+// memoized oracle, and a different dependence window builds its own.
+func TestOracleMemoShared(t *testing.T) {
+	env := runEnv{oracles: cache.New(oracleMemoEntries)}
+	spec := RunSpec{Workload: "gather", Scale: 0.05}
+	build, _, err := programBuilder(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if builds.Load() != 1 {
-		t.Errorf("8 concurrent requests built %d oracles; want 1", builds.Load())
+	program := build()
+	pcfg := pipeline.DefaultConfig()
+	first := env.oracle(spec, program, 20_000, pcfg)
+	if again := env.oracle(spec, program, 20_000, pcfg); again != first {
+		t.Error("a second run on the same key rebuilt its oracle")
 	}
-	for i, o := range got {
-		if o != shared {
-			t.Errorf("request %d got a different oracle", i)
-		}
+	wide := pcfg
+	wide.ROBSize *= 2
+	if other := env.oracle(spec, program, 20_000, wide); other == first {
+		t.Error("a different ROB window shared the oracle")
 	}
-	for i := 0; i < 2*oracleMemoEntries; i++ {
-		m.get(fmt.Sprint(i), func() *core.Oracle { return &core.Oracle{} })
+}
+
+// holdWorker occupies e's only pool worker until the returned release
+// is called, or for two seconds at most, so a caller wrongly queued
+// behind it fails its timing bound instead of hanging the test.
+func holdWorker(t *testing.T, e *Engine) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	time.AfterFunc(2*time.Second, release)
+	e.pool.SubmitCtx(context.Background(), sched.TierInteractive, 1, func(context.Context) { <-gate })
+	for e.pool.Running() == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	if n := len(m.entries); n > oracleMemoEntries {
-		t.Errorf("memo holds %d oracles; bound is %d", n, oracleMemoEntries)
+	return release
+}
+
+// TestRunCachedQueuedDeadline checks a caller whose run is still queued
+// behind a busy worker is not held there: its deadline returns
+// DeadlineExceeded on time, not once a worker frees up.
+func TestRunCachedQueuedDeadline(t *testing.T) {
+	e, err := NewEngine(EngineConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	release := holdWorker(t, e)
+	defer release()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, _, err = e.RunCached(ctx, RunSpec{Workload: "gather", Scale: 0.05, MaxInsts: 20_000})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v; want DeadlineExceeded", err)
+	}
+	// The worker stays held throughout, so any return at all proves the
+	// caller was not queued behind it; the bound is a loose CI margin.
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("queued RunCached returned after %v; want about 50ms", took)
+	}
+}
+
+// TestJobCancelQueuedModelBatch checks the batched (model-backend) path
+// the same way: cancelling a sweep whose batch is queued behind a busy
+// worker settles the job at once.
+func TestJobCancelQueuedModelBatch(t *testing.T) {
+	e, err := NewEngine(EngineConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	release := holdWorker(t, e)
+	defer release()
+
+	var points []SweepPoint
+	for _, iq := range []int{16, 32, 64} {
+		cfg := pipeline.DefaultConfig()
+		cfg.IQSize = iq
+		points = append(points, SweepPoint{Name: fmt.Sprint(iq), Patch: RunPatch{Pipeline: &cfg}})
+	}
+	job, err := e.Submit(context.Background(), SweepSpec{
+		Base: RunSpec{Workload: "gather", Scale: 0.05, MaxInsts: 20_000, Backend: BackendModel},
+		Axes: []SweepAxis{{Name: "iq", Points: points}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.pool.Queued() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	job.Cancel()
+	select {
+	case <-job.Done():
+	case <-time.After(time.Second):
+		t.Fatal("cancelled job with a queued batch did not settle while the worker was busy")
+	}
+	if _, err := job.Wait(); !errors.Is(err, ErrJobCanceled) {
+		t.Fatalf("Wait err = %v; want ErrJobCanceled", err)
 	}
 }

@@ -185,6 +185,39 @@ func TestSubmitMatrixError(t *testing.T) {
 	}
 }
 
+// TestMatrixResultFromSweepShape checks the fold refuses a sweep
+// result that is not the matrix's scenario × config grid instead of
+// mislabelling (or indexing past) its cells.
+func TestMatrixResultFromSweepShape(t *testing.T) {
+	spec := ltp.MatrixSpec{Scenarios: []string{"branchy", "ptrchase"}}
+	c, err := spec.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grid []ltp.SweepCell
+	for _, scn := range c.Scenarios {
+		for _, cfg := range c.Configs {
+			grid = append(grid, ltp.SweepCell{Coords: []string{scn, cfg.Name}})
+		}
+	}
+	if _, err := ltp.MatrixResultFromSweep(spec, &ltp.SweepResult{Cells: grid}); err != nil {
+		t.Fatalf("matching grid refused: %v", err)
+	}
+	swapped := append([]ltp.SweepCell(nil), grid...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	flat := append([]ltp.SweepCell(nil), grid...)
+	flat[0] = ltp.SweepCell{Coords: []string{c.Scenarios[0]}}
+	for name, cells := range map[string][]ltp.SweepCell{
+		"missing cell": grid[1:],
+		"reordered":    swapped,
+		"short coords": flat,
+	} {
+		if _, err := ltp.MatrixResultFromSweep(spec, &ltp.SweepResult{Cells: cells}); err == nil {
+			t.Errorf("%s: fold accepted a mismatched result", name)
+		}
+	}
+}
+
 // slowSweep returns a sweep whose cells take long enough (hundreds of
 // milliseconds each) that a test can reliably cancel it mid-flight.
 func slowSweep(cells int) ltp.SweepSpec {

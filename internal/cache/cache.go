@@ -153,9 +153,9 @@ func (c *Cache) Get(key string) (any, bool) {
 // ctx bounds this call's wait, not the computation: when ctx dies the
 // call detaches and returns ctx's error, while the computation keeps
 // running for any other waiter. Only when every waiter has detached is
-// the compute context cancelled — compute should observe it and return
-// promptly so abandoned work leaves the worker pool; the last waiter
-// returns once it has. A caller that
+// the compute context cancelled, and the last waiter returns only once
+// compute has — so compute must observe it and return promptly, at
+// once if its work is still queued rather than running. A caller that
 // joins a flight in the instant it is being cancelled retries against
 // a fresh flight rather than surfacing the other waiters' abandonment.
 func (c *Cache) Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, Outcome, error) {

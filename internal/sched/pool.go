@@ -34,9 +34,9 @@ const (
 // simulating, so a cancelled campaign's queued cells drain in
 // microseconds rather than occupying workers.
 //
-// Unlike Run, which sorts a fully known job list up front, a Pool
-// schedules online: jobs submitted while workers are busy are ordered
-// against each other, but a job can never preempt one already running.
+// A Pool schedules online: jobs submitted while workers are busy are
+// ordered against each other, but a job can never preempt one already
+// running.
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -66,6 +66,9 @@ type trackedJob struct {
 	matrix    *ltp.MatrixSpec // canonical campaign of a matrix-kind job (result conversion)
 	submitted time.Time
 
+	matrixOnce sync.Once
+	matrixRes  *ltp.MatrixResult // the folded matrix result, once done
+
 	mu      sync.Mutex
 	cells   []ltp.CellResult
 	notify  chan struct{} // closed and replaced on every append

@@ -446,14 +446,14 @@ func jobResponse(t *trackedJob) any {
 }
 
 // matrixResult folds a finished matrix-kind job's sweep back into the
-// matrix shape (nil unless the job succeeded).
+// matrix shape, once per job (nil unless the job succeeded).
 func (t *trackedJob) matrixResult() *ltp.MatrixResult {
 	sr, err := t.job.Wait()
 	if err != nil {
 		return nil
 	}
-	res, _ := ltp.MatrixResultFromSweep(*t.matrix, sr)
-	return res
+	t.matrixOnce.Do(func() { t.matrixRes, _ = ltp.MatrixResultFromSweep(*t.matrix, sr) })
+	return t.matrixRes
 }
 
 // StreamEvent is one NDJSON line of POST /v1/matrix?stream=1 and POST

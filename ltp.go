@@ -34,6 +34,7 @@ import (
 	"io"
 
 	"ltp/internal/bpred"
+	"ltp/internal/cache"
 	"ltp/internal/core"
 	"ltp/internal/energy"
 	"ltp/internal/isa"
@@ -820,7 +821,7 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 type runEnv struct {
 	exec    sim.Executor
 	corMemo map[string][]mem.CorunnerConfig
-	oracles *oracleMemo
+	oracles *cache.Cache
 }
 
 // run executes one spec on its backend under env.
@@ -1016,7 +1017,13 @@ func (env runEnv) oracle(spec RunSpec, program *prog.Program, budget int, pcfg p
 	if err != nil {
 		return build()
 	}
-	return env.oracles.get(key, build)
+	v, _, err := env.oracles.Do(context.Background(), key, func(context.Context) (any, error) {
+		return build(), nil
+	})
+	if err != nil {
+		return build() // the shared build panicked; retry here
+	}
+	return v.(*core.Oracle)
 }
 
 // finishResult folds backend stats into the public RunResult shape and

@@ -209,7 +209,8 @@ func (m *MatrixResult) Cell(scenario, config string) *MatrixCell {
 
 // MatrixResultFromSweep folds a finished NewMatrixSweep campaign (axes
 // scenario, config, seed) back into the matrix shape: one cell per
-// scenario × config, scenario-major in the spec's order.
+// scenario × config, scenario-major in the spec's order. A result
+// whose cells do not match that shape is an error.
 func MatrixResultFromSweep(m MatrixSpec, sr *SweepResult) (*MatrixResult, error) {
 	c, err := m.Canonical()
 	if err != nil {
@@ -219,8 +220,15 @@ func MatrixResultFromSweep(m MatrixSpec, sr *SweepResult) (*MatrixResult, error)
 	for _, cfg := range c.Configs {
 		out.Configs = append(out.Configs, cfg.Name)
 	}
+	if want := len(c.Scenarios) * len(c.Configs); len(sr.Cells) != want {
+		return nil, fmt.Errorf("ltp: sweep result has %d cells; the matrix has %d", len(sr.Cells), want)
+	}
 	out.Cells = make([]MatrixCell, len(sr.Cells))
 	for i, sc := range sr.Cells {
+		scn, cfg := c.Scenarios[i/len(c.Configs)], out.Configs[i%len(c.Configs)]
+		if len(sc.Coords) != 2 || sc.Coords[0] != scn || sc.Coords[1] != cfg {
+			return nil, fmt.Errorf("ltp: sweep cell %d has coordinates %q; the matrix expects [%s %s]", i, sc.Coords, scn, cfg)
+		}
 		out.Cells[i] = MatrixCell{
 			Scenario:   sc.Coords[0],
 			Config:     sc.Coords[1],
